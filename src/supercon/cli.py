@@ -4,7 +4,8 @@ Five subcommands: `verify` drives the congruence sweep and emits one record
 per report; `gamma`, `pfq`, `eta`, and `identity` expose the underlying
 evaluators for one-off queries.  Exit codes: 0 when everything checked out,
 1 when at least one congruence failed to hold, 2 for usage or validation
-problems.  Rationals are written num/den with an optional sign.
+problems and for a `verify` run that checked nothing.  Rationals are
+written num/den with an optional sign.
 """
 
 from __future__ import annotations
@@ -124,6 +125,13 @@ def cmd_verify(args) -> int:
         )
         return 2
     reports = sweep(cfg)
+    if not reports:
+        primes = ",".join(map(str, cfg.primes))
+        print(
+            f"nothing checked: ids {','.join(cfg.ids)} at primes {primes}",
+            file=sys.stderr,
+        )
+        return 2
     text = _render(reports, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -162,10 +170,11 @@ def cmd_pfq(args) -> int:
             file=sys.stderr,
         )
         return 2
-    print(pfq_exact(spec))
+    text = f"{pfq_exact(spec)}\n"
     if args.p is not None:
         residue = pfq_mod(spec, args.p, args.k).residue(args.k)
-        print(f"{residue.value} (mod {residue.modulus})")
+        text += f"{residue.value} (mod {residue.modulus})\n"
+    sys.stdout.write(text)
     return 0
 
 

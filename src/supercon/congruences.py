@@ -15,6 +15,7 @@ supplies the missing digits, and the sweep stays O(p^(N-t)).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,21 +53,6 @@ from .hyper import (
     pfq_exact,
     pfq_mod,
     pochhammer,
-)
-
-CATALOG = (
-    "kilbourn-1.1",
-    "zudilin-1.2",
-    "mccarthy-osburn-1.3",
-    "long-ramakrishna-p6",
-    "main-1.4",
-    "cor-1.5",
-    "cor-1.6",
-    "gs-2.6",
-    "ff-3.1",
-    "ff-3.2",
-    "ff-3.3",
-    "gamma-laws",
 )
 
 #: Primes the mod-p^6 check accepts; the precision-5 sweep is O(p^5) and the
@@ -110,6 +96,15 @@ def _ms(t0: float) -> float:
     return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
+def _report(
+    cid: str, p: int, params: dict, k: int, lhs, rhs, t0: float, holds=None
+) -> CongruenceReport:
+    """Wrap one comparison started at t0; holds defaults to lhs == rhs."""
+    if holds is None:
+        holds = lhs == rhs
+    return CongruenceReport(cid, p, params, k, str(lhs), str(rhs), holds, _ms(t0))
+
+
 def _require_p5(p: int) -> int:
     check_odd_prime(p)
     if p < 5:
@@ -149,9 +144,7 @@ def verify_kilbourn(p: int, qexp: QSeries | None = None) -> CongruenceReport:
     spec = PfqSpec((_HALF,) * 4, (1, 1, 1), 1, (p - 1) // 2)
     lhs = _series_class(spec, p, 3)
     rhs = reduce_mod(a_p(p, qexp), p, 3)
-    return CongruenceReport(
-        "kilbourn-1.1", p, {}, 3, str(lhs), str(rhs), lhs == rhs, _ms(t0)
-    )
+    return _report("kilbourn-1.1", p, {}, 3, lhs, rhs, t0)
 
 
 def verify_zudilin(p: int) -> CongruenceReport:
@@ -164,9 +157,7 @@ def verify_zudilin(p: int) -> CongruenceReport:
     lhs = _series_class(spec, p, 3)
     sign = -1 if (p - 1) // 2 % 2 else 1
     rhs = reduce_mod(sign * p, p, 3)
-    return CongruenceReport(
-        "zudilin-1.2", p, {}, 3, str(lhs), str(rhs), lhs == rhs, _ms(t0)
-    )
+    return _report("zudilin-1.2", p, {}, 3, lhs, rhs, t0)
 
 
 def verify_mccarthy_osburn(p: int) -> CongruenceReport:
@@ -177,14 +168,8 @@ def verify_mccarthy_osburn(p: int) -> CongruenceReport:
         (_HALF,) * 5 + (Fraction(5, 4),), (1, 1, 1, 1, _QUARTER), -1, (p - 1) // 2
     )
     lhs = _series_class(spec, p, 3)
-    if p % 4 == 1:
-        g = gamma_p(Fraction(3, 4), p, 3)
-        rhs = reduce_mod(-p, p, 3) * g ** (-4)
-    else:
-        rhs = PrimePowerResidue(p, 3, 0)
-    return CongruenceReport(
-        "mccarthy-osburn-1.3", p, {}, 3, str(lhs), str(rhs), lhs == rhs, _ms(t0)
-    )
+    rhs = _gamma_product_rhs(p, -1, ((Fraction(3, 4), -4),))
+    return _report("mccarthy-osburn-1.3", p, {}, 3, lhs, rhs, t0)
 
 
 def verify_long_ramakrishna(p: int) -> CongruenceReport:
@@ -209,9 +194,7 @@ def verify_long_ramakrishna(p: int) -> CongruenceReport:
         unit = reduce_mod(Fraction(10, 27), p, 2) * g**9
         val = -(p**4) * unit.value % p6
     rhs = PrimePowerResidue(p, 6, val)
-    return CongruenceReport(
-        "long-ramakrishna-p6", p, {}, 6, str(lhs), str(rhs), lhs == rhs, _ms(t0)
-    )
+    return _report("long-ramakrishna-p6", p, {}, 6, lhs, rhs, t0)
 
 
 def _main_spec(p: int, alpha: Fraction) -> PfqSpec:
@@ -243,23 +226,35 @@ def _main_rhs_args(alpha: Fraction) -> tuple:
     )
 
 
-def _main_rhs(p: int, alpha: Fraction, batch: GammaBatch | None = None) -> PrimePowerResidue:
-    """Signed p times the eight-factor gamma product, as a class mod p^3.
+def _gamma_product_rhs(
+    p: int, sign: int, factors, batch: GammaBatch | None = None
+) -> PrimePowerResidue:
+    """sign * p * prod Gamma_p(a)^e over the (a, e) factors, mod p^3.
 
-    Gamma factors are read at precision 2; the leading p supplies the third
-    digit.  A caller-provided batch must be at (p, 2) and already contain
-    every argument for this alpha.
+    Zero unless p = 1 (mod 4).  Gamma factors are read at precision 2; the
+    leading p supplies the third digit.  A caller-provided batch must be at
+    (p, 2) and already contain every argument.
     """
-    args = _main_rhs_args(alpha)
+    if p % 4 != 1:
+        return PrimePowerResidue(p, 3, 0)
     if batch is None:
-        batch = GammaBatch(p, 2).add_all(a for a, _ in args)
+        batch = GammaBatch(p, 2).add_all(a for a, _ in factors)
         batch.run()
     p2 = p * p
     unit = 1
-    for a, e in args:
+    for a, e in factors:
         unit = unit * pow(batch.value(a).value, e, p2) % p2
-    sign = -1 if (p + 3) // 4 % 2 else 1
     return PrimePowerResidue(p, 3, sign * p * unit)
+
+
+def _quarter_sign(p: int) -> int:
+    """The sign of the main and 1/4-argument right sides."""
+    return -1 if (p + 3) // 4 % 2 else 1
+
+
+def _main_rhs(p: int, alpha: Fraction, batch: GammaBatch | None = None) -> PrimePowerResidue:
+    """Signed p times the eight-factor gamma product, as a class mod p^3."""
+    return _gamma_product_rhs(p, _quarter_sign(p), _main_rhs_args(alpha), batch)
 
 
 def verify_main(
@@ -271,20 +266,8 @@ def verify_main(
     alpha = Fraction(alpha)
     alpha_window_residue(alpha, p)
     lhs = _series_class(_main_spec(p, alpha), p, 3)
-    if p % 4 == 1:
-        rhs = _main_rhs(p, alpha, batch)
-    else:
-        rhs = PrimePowerResidue(p, 3, 0)
-    return CongruenceReport(
-        "main-1.4",
-        p,
-        {"alpha": str(alpha)},
-        3,
-        str(lhs),
-        str(rhs),
-        lhs == rhs,
-        _ms(t0),
-    )
+    rhs = _main_rhs(p, alpha, batch)
+    return _report("main-1.4", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
 def verify_cor_quarter(p: int) -> CongruenceReport:
@@ -298,18 +281,8 @@ def verify_cor_quarter(p: int) -> CongruenceReport:
         (p - 1) // 2,
     )
     lhs = _series_class(spec, p, 3)
-    if p % 4 == 1:
-        batch = GammaBatch(p, 2).add(_HALF).add(_QUARTER)
-        batch.run()
-        p2 = p * p
-        unit = batch.value(_HALF).value * pow(batch.value(_QUARTER).value, 2, p2) % p2
-        sign = -1 if (p + 3) // 4 % 2 else 1
-        rhs = PrimePowerResidue(p, 3, sign * p * unit)
-    else:
-        rhs = PrimePowerResidue(p, 3, 0)
-    return CongruenceReport(
-        "cor-1.5", p, {}, 3, str(lhs), str(rhs), lhs == rhs, _ms(t0)
-    )
+    rhs = _gamma_product_rhs(p, _quarter_sign(p), ((_HALF, 1), (_QUARTER, 2)))
+    return _report("cor-1.5", p, {}, 3, lhs, rhs, t0)
 
 
 def verify_cor_6f5(p: int) -> CongruenceReport:
@@ -328,17 +301,9 @@ def verify_cor_6f5(p: int) -> CongruenceReport:
         (p - 1) // 2,
     )
     lhs = _series_class(spec, p, 3)
-    if p % 4 == 1:
-        g = gamma_p(_QUARTER, p, 2)
-        rhs = PrimePowerResidue(p, 3, -p * pow(g.value, 4, p * p))
-        rederived = _main_rhs(p, Fraction(0))
-        holds = lhs == rhs and rhs == rederived
-    else:
-        rhs = PrimePowerResidue(p, 3, 0)
-        holds = lhs == rhs
-    return CongruenceReport(
-        "cor-1.6", p, {}, 3, str(lhs), str(rhs), holds, _ms(t0)
-    )
+    rhs = _gamma_product_rhs(p, -1, ((_QUARTER, 4),))
+    rederived = _main_rhs(p, Fraction(0))
+    return _report("cor-1.6", p, {}, 3, lhs, rhs, t0, lhs == rhs == rederived)
 
 
 def verify_gs(samples: int = 100, seed: int = 0) -> CongruenceReport:
@@ -375,16 +340,8 @@ def verify_gs(samples: int = 100, seed: int = 0) -> CongruenceReport:
             continue  # pole screening: the identity is only claimed where finite
         ok &= lhs == rhs
         done += 1
-    return CongruenceReport(
-        "gs-2.6",
-        0,
-        {"samples": str(samples), "seed": str(seed)},
-        0,
-        str(pinned_lhs),
-        str(pinned_rhs),
-        ok,
-        _ms(t0),
-    )
+    params = {"samples": str(samples), "seed": str(seed)}
+    return _report("gs-2.6", 0, params, 0, pinned_lhs, pinned_rhs, t0, ok)
 
 
 def _small_rational(rng: Random, span: int = 12) -> Fraction:
@@ -396,16 +353,7 @@ def verify_ff1(p: int, alpha) -> CongruenceReport:
     t0 = time.perf_counter()
     alpha = Fraction(alpha)
     lhs, rhs = ff1_build(p, alpha)
-    return CongruenceReport(
-        "ff-3.1",
-        p,
-        {"alpha": str(alpha)},
-        0,
-        str(lhs),
-        str(rhs),
-        lhs == rhs,
-        _ms(t0),
-    )
+    return _report("ff-3.1", p, {"alpha": str(alpha)}, 0, lhs, rhs, t0)
 
 
 def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
@@ -437,16 +385,8 @@ def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
         lhs_k = cyclo_reduce(triple, p, 3)
         rhs_k = CycloElem(reduce_mod(plain**3, p, 3), zero)
         ok &= lhs_k == rhs_k
-    return CongruenceReport(
-        "ff-3.2",
-        p,
-        {"u": str(u), "v": str(v), "kmax": str(kmax)},
-        3,
-        str(lhs_k),
-        str(rhs_k),
-        ok,
-        _ms(t0),
-    )
+    params = {"u": str(u), "v": str(v), "kmax": str(kmax)}
+    return _report("ff-3.2", p, params, 3, lhs_k, rhs_k, t0, ok)
 
 
 def verify_ff3(
@@ -493,16 +433,7 @@ def verify_ff3(
     )
     lhs = cyclo_reduce(num / den, p, 3)
     rhs = CycloElem(_main_rhs(p, alpha, batch), PrimePowerResidue(p, 3, 0))
-    return CongruenceReport(
-        "ff-3.3",
-        p,
-        {"alpha": str(alpha)},
-        3,
-        str(lhs),
-        str(rhs),
-        lhs == rhs,
-        _ms(t0),
-    )
+    return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
 def verify_gamma_laws(
@@ -588,61 +519,28 @@ def verify_gamma_laws(
     ok &= g(Fraction(p, 4)) / g(1 + Fraction(p, 4)) == minus_one
     ok &= g(_HALF) ** 2 == (minus_one if (p + 1) // 2 % 2 else one)
 
-    return CongruenceReport(
-        "gamma-laws",
-        p,
-        {"samples": str(samples), "seed": str(seed)},
-        3,
-        str(g(1)),
-        str(minus_one),
-        ok,
-        _ms(t0),
-    )
+    params = {"samples": str(samples), "seed": str(seed)}
+    return _report("gamma-laws", p, params, 3, g(1), minus_one, t0, ok)
 
 
 # ---------------------------------------------------------------------------
 # sweep orchestration
 
-#: Per-id prime admission: (minimum p, maximum p or None, residue filter).
-_DOMAIN = {
-    "kilbourn-1.1": (3, None, None),
-    "zudilin-1.2": (3, None, None),
-    "mccarthy-osburn-1.3": (5, None, None),
-    "long-ramakrishna-p6": (5, LR_MAX_PRIME, None),
-    "main-1.4": (5, None, None),
-    "cor-1.5": (5, None, None),
-    "cor-1.6": (5, None, None),
-    "ff-3.1": (5, None, None),
-    "ff-3.2": (5, None, None),
-    "ff-3.3": (5, None, 1),  # p = 1 (mod 4) only
-    "gamma-laws": (5, None, None),
-}
 
+def _guarded(fn, cid: str, p: int, params: dict) -> CongruenceReport:
+    """Failure is data: a checker error becomes a holds=false report.
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """What to verify: which congruences, which primes, which parameters."""
-
-    ids: tuple = CATALOG
-    primes: tuple = ()
-    alphas: object = "all"  # "all" or an iterable of rationals
-    seed: int = 0
-    samples: int = 100  # randomized-suite size (gs-2.6, gamma-laws)
-    pairs: int = 50  # (u, v) draws per prime for ff-3.2
-    jobs: int = 1
-
-    def normalized(self) -> "SweepConfig":
-        ids = tuple(i for i in CATALOG if i in set(self.ids))
-        unknown = set(self.ids) - set(CATALOG)
-        if unknown:
-            raise ValueError(f"unknown congruence ids: {sorted(unknown)}")
-        primes = tuple(sorted(set(self.primes)))
-        for p in primes:
-            check_odd_prime(p)
-        alphas = self.alphas
-        if alphas != "all":
-            alphas = tuple(Fraction(a) for a in alphas)
-        return replace(self, ids=ids, primes=primes, alphas=alphas)
+    The one exception is OracleMismatch, which means the evaluator itself
+    is wrong; that must halt the sweep, not masquerade as a violation.
+    """
+    t0 = time.perf_counter()
+    try:
+        return fn()
+    except OracleMismatch:
+        raise
+    except SuperconError as e:
+        params = {**params, "error": type(e).__name__}
+        return _report(cid, p, params, 0, "error", str(e)[:200], t0, False)
 
 
 def _alphas_for(p: int, policy) -> tuple:
@@ -664,109 +562,53 @@ def _alphas_for(p: int, policy) -> tuple:
     return tuple(out)
 
 
-def _in_domain(cid: str, p: int) -> bool:
-    lo, hi, residue = _DOMAIN[cid]
-    if p < lo or (hi is not None and p > hi):
-        return False
-    if residue is not None and p % 4 != residue:
-        return False
-    return True
+# Cell expansions.  Each takes (id, p, cfg) and returns the cell's reports
+# in deterministic order.  Checkers are called through lambdas so that the
+# module-level name is looked up at call time, where callers may wrap it.
 
 
-def _guarded(fn, cid: str, p: int, params: dict) -> CongruenceReport:
-    """Failure is data: a checker error becomes a holds=false report.
+def _per_prime(check):
+    """One report per prime: check(p, cfg)."""
 
-    The one exception is OracleMismatch, which means the evaluator itself
-    is wrong; that must halt the sweep, not masquerade as a violation.
+    def expand(cid: str, p: int, cfg: "SweepConfig") -> list[CongruenceReport]:
+        return [_guarded(lambda: check(p, cfg), cid, p, {})]
+
+    return expand
+
+
+def _per_alpha(check, shared_batch: bool):
+    """One report per admissible alpha: check(p, alpha, batch).
+
+    With shared_batch, the alphas of a prime p = 1 (mod 4) share one gamma
+    sweep holding every argument of their main right sides.
     """
-    t0 = time.perf_counter()
-    try:
-        return fn()
-    except OracleMismatch:
-        raise
-    except SuperconError as e:
-        return CongruenceReport(
-            cid,
-            p,
-            {**params, "error": type(e).__name__},
-            0,
-            "error",
-            str(e)[:200],
-            False,
-            _ms(t0),
-        )
 
-
-def _run_cell(cid: str, p: int, cfg: SweepConfig) -> list[CongruenceReport]:
-    """All reports for one (id, prime) cell, in deterministic order."""
-    if cid == "gs-2.6":
-        return [_guarded(lambda: verify_gs(cfg.samples, cfg.seed), cid, 0, {})]
-    if cid == "kilbourn-1.1":
-        qexp = eta_product_qexp(max(100, p))
-        return [_guarded(lambda: verify_kilbourn(p, qexp), cid, p, {})]
-    if cid == "zudilin-1.2":
-        return [_guarded(lambda: verify_zudilin(p), cid, p, {})]
-    if cid == "mccarthy-osburn-1.3":
-        return [_guarded(lambda: verify_mccarthy_osburn(p), cid, p, {})]
-    if cid == "long-ramakrishna-p6":
-        return [_guarded(lambda: verify_long_ramakrishna(p), cid, p, {})]
-    if cid == "cor-1.5":
-        return [_guarded(lambda: verify_cor_quarter(p), cid, p, {})]
-    if cid == "cor-1.6":
-        return [_guarded(lambda: verify_cor_6f5(p), cid, p, {})]
-    if cid == "gamma-laws":
+    def expand(cid: str, p: int, cfg: "SweepConfig") -> list[CongruenceReport]:
+        alphas = _alphas_for(p, cfg.alphas)
+        batch = None
+        if shared_batch and p % 4 == 1:
+            batch = GammaBatch(p, 2)
+            for alpha in alphas:
+                batch.add_all(a for a, _ in _main_rhs_args(alpha))
+            batch.run()
         return [
-            _guarded(
-                lambda: verify_gamma_laws(p, cfg.samples, cfg.seed), cid, p, {}
-            )
+            _guarded(lambda a=a: check(p, a, batch), cid, p, {"alpha": str(a)})
+            for a in alphas
         ]
-    if cid == "ff-3.2":
-        rng = Random(cfg.seed * 1_000_003 + p)
-        out = []
-        kmax = (p - 1) // 2
-        for _ in range(cfg.pairs):
-            u = _unit_denominator_rational(rng, p)
-            v = _unit_denominator_rational(rng, p)
-            out.append(
-                _guarded(
-                    lambda u=u, v=v: verify_ff2(p, u, v, kmax),
-                    cid,
-                    p,
-                    {"u": str(u), "v": str(v)},
-                )
-            )
-        return out
-    # The alpha-indexed family: one report per admissible alpha, sharing a
-    # single gamma batch per prime where the right side needs one.
-    alphas = _alphas_for(p, cfg.alphas)
+
+    return expand
+
+
+def _ff2_draws(cid: str, p: int, cfg: "SweepConfig") -> list[CongruenceReport]:
+    """cfg.pairs seeded (u, v) draws, every k up to (p - 1) / 2."""
+    rng = Random(cfg.seed * 1_000_003 + p)
     out = []
-    if cid == "ff-3.1":
-        for alpha in alphas:
-            out.append(
-                _guarded(
-                    lambda alpha=alpha: verify_ff1(p, alpha),
-                    cid,
-                    p,
-                    {"alpha": str(alpha)},
-                )
-            )
-        return out
-    batch = None
-    if p % 4 == 1:
-        batch = GammaBatch(p, 2)
-        for alpha in alphas:
-            batch.add_all(a for a, _ in _main_rhs_args(alpha))
-        batch.run()
-    checker = verify_main if cid == "main-1.4" else verify_ff3
-    for alpha in alphas:
-        out.append(
-            _guarded(
-                lambda alpha=alpha: checker(p, alpha, batch),
-                cid,
-                p,
-                {"alpha": str(alpha)},
-            )
-        )
+    kmax = (p - 1) // 2
+    for _ in range(cfg.pairs):
+        u = _unit_denominator_rational(rng, p)
+        v = _unit_denominator_rational(rng, p)
+        params = {"u": str(u), "v": str(v)}
+        out.append(_guarded(lambda u=u, v=v: verify_ff2(p, u, v, kmax), cid, p, params))
     return out
 
 
@@ -778,15 +620,112 @@ def _unit_denominator_rational(rng: Random, p: int, span: int = 12) -> Fraction:
     return Fraction(num, den)
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """One catalog id: its prime domain, gamma cost and cell expansion."""
+
+    expand: object  # (id, p, cfg) -> the cell's reports
+    min_p: int | None = 5  # None: one prime-free cell, reported as p = 0
+    max_p: int | None = None
+    mod4: int | None = None  # residue p must have mod 4, if any
+    cost: object = lambda p: 0  # p -> most gamma units the cell sweeps
+
+    def admits(self, p: int) -> bool:
+        return (
+            p >= self.min_p
+            and (self.max_p is None or p <= self.max_p)
+            and (self.mod4 is None or p % 4 == self.mod4)
+        )
+
+
+#: The catalog, in report order.
+_REGISTRY = {
+    "kilbourn-1.1": _Entry(
+        _per_prime(
+            lambda p, cfg: verify_kilbourn(p, eta_product_qexp(max(100, p)))
+        ),
+        min_p=3,
+    ),
+    "zudilin-1.2": _Entry(_per_prime(lambda p, cfg: verify_zudilin(p)), min_p=3),
+    "mccarthy-osburn-1.3": _Entry(
+        _per_prime(lambda p, cfg: verify_mccarthy_osburn(p)),
+        cost=lambda p: p * p if p % 4 == 1 else 0,
+    ),
+    "long-ramakrishna-p6": _Entry(
+        _per_prime(lambda p, cfg: verify_long_ramakrishna(p)),
+        max_p=LR_MAX_PRIME,
+        cost=lambda p: p**5 if p % 6 == 1 else p * p,
+    ),
+    "main-1.4": _Entry(
+        _per_alpha(lambda p, alpha, batch: verify_main(p, alpha, batch), True),
+        cost=lambda p: p * p,
+    ),
+    "cor-1.5": _Entry(
+        _per_prime(lambda p, cfg: verify_cor_quarter(p)), cost=lambda p: p * p
+    ),
+    "cor-1.6": _Entry(
+        _per_prime(lambda p, cfg: verify_cor_6f5(p)), cost=lambda p: 2 * p * p
+    ),
+    "gs-2.6": _Entry(
+        _per_prime(lambda p, cfg: verify_gs(cfg.samples, cfg.seed)), min_p=None
+    ),
+    "ff-3.1": _Entry(_per_alpha(lambda p, alpha, _: verify_ff1(p, alpha), False)),
+    "ff-3.2": _Entry(_ff2_draws),
+    "ff-3.3": _Entry(
+        _per_alpha(lambda p, alpha, batch: verify_ff3(p, alpha, batch), True),
+        mod4=1,
+        cost=lambda p: p * p,
+    ),
+    "gamma-laws": _Entry(
+        _per_prime(lambda p, cfg: verify_gamma_laws(p, cfg.samples, cfg.seed)),
+        cost=lambda p: p**3,
+    ),
+}
+
+CATALOG = tuple(_REGISTRY)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """What to verify: which congruences, which primes, which parameters."""
+
+    ids: tuple = CATALOG
+    primes: tuple = ()
+    alphas: object = "all"  # "all" or an iterable of rationals
+    seed: int = 0
+    samples: int = 100  # randomized-suite size (gs-2.6, gamma-laws)
+    pairs: int = 50  # (u, v) draws per prime for ff-3.2
+    jobs: int = 1
+
+    def normalized(self) -> "SweepConfig":
+        ids = tuple(i for i in CATALOG if i in set(self.ids))
+        unknown = set(self.ids) - set(CATALOG)
+        if unknown:
+            raise ValueError(f"unknown congruence ids: {sorted(unknown)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        primes = tuple(sorted(set(self.primes)))
+        for p in primes:
+            check_odd_prime(p)
+        alphas = self.alphas
+        if alphas != "all":
+            alphas = tuple(Fraction(a) for a in alphas)
+        return replace(self, ids=ids, primes=primes, alphas=alphas)
+
+
+def _run_cell(cid: str, p: int, cfg: SweepConfig) -> list[CongruenceReport]:
+    """All reports for one (id, prime) cell, in deterministic order."""
+    return _REGISTRY[cid].expand(cid, p, cfg)
+
+
 def _cells(cfg: SweepConfig) -> list[tuple[str, int]]:
     cells = []
     for cid in cfg.ids:
-        if cid == "gs-2.6":
+        entry = _REGISTRY[cid]
+        if entry.min_p is None:
             cells.append((cid, 0))
-            continue
-        for p in cfg.primes:
-            if _in_domain(cid, p):
-                cells.append((cid, p))
+        else:
+            cells += [(cid, p) for p in cfg.primes if entry.admits(p)]
     return cells
 
 
@@ -796,40 +735,26 @@ def estimate_sweep_work(cfg: SweepConfig) -> int:
     Series evaluation is not charged (it is O(p) per report); the guard
     exists because gamma sweeps are the only superlinear cost.
     """
-    cfg = cfg.normalized()
-    total = 0
-    for cid, p in _cells(cfg):
-        if cid in ("mccarthy-osburn-1.3", "gamma-laws"):
-            total += p**3
-        elif cid == "long-ramakrishna-p6":
-            total += p**5 if p % 6 == 1 else p**2
-        elif cid in ("main-1.4", "cor-1.5", "ff-3.3"):
-            total += p**2
-        elif cid == "cor-1.6":
-            total += 2 * p**2
-    return total
+    return sum(_REGISTRY[cid].cost(p) for cid, p in _cells(cfg.normalized()))
 
 
 def sweep(cfg: SweepConfig) -> list[CongruenceReport]:
     """Run every selected (id, prime) cell; deterministic report order.
 
     Cells are ordered by catalog position then prime; parameterized cells
-    expand in parameter order.  With jobs > 1, cells run in a process pool
-    but results are still emitted in cell order.
+    expand in parameter order.  Cells run in a process pool of
+    min(jobs, cells, CPUs) workers when that is above one, and results are
+    still emitted in cell order.
     """
     cfg = cfg.normalized()
     cells = _cells(cfg)
-    if cfg.jobs > 1 and len(cells) > 1:
+    workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(
-                pool.map(_run_cell_star, [(cid, p, cfg) for cid, p in cells])
-            )
+        cids, ps = zip(*cells)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_cell, cids, ps, [cfg] * len(cells)))
     else:
         chunks = [_run_cell(cid, p, cfg) for cid, p in cells]
     return [report for chunk in chunks for report in chunk]
-
-
-def _run_cell_star(args) -> list[CongruenceReport]:
-    return _run_cell(*args)

@@ -17,7 +17,6 @@ prime's worth of values costs the same as the largest single one.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import (
     PrimePowerResidue,
@@ -26,9 +25,7 @@ from .arith import (
     check_odd_prime,
     least_residue,
     reduce_mod,
-    vp,
 )
-from .errors import HypothesisViolated
 
 
 def _sweep_rep(x: RationalLike, p: int, k: int) -> int:
@@ -80,7 +77,7 @@ def gamma_p(x: RationalLike, p: int, k: int) -> PrimePowerResidue:
 class GammaBatch:
     """One shared sweep answering many gamma queries at fixed (p, k).
 
-    Arguments are registered up front (order remembered, duplicates fine),
+    Arguments are registered up front (in any order, duplicates fine),
     the sweep runs once to the largest representative, and values are read
     back per argument.  Deliberately not a cross-prime cache; build one per
     (p, k) job and let it go.
@@ -91,15 +88,12 @@ class GammaBatch:
         _check_precision(k)
         self.p = p
         self.k = k
-        self.args: list[Fraction] = []
         self._reps: set[int] = set()
         self._values: dict[int, PrimePowerResidue] | None = None
 
     def add(self, x: RationalLike) -> "GammaBatch":
         if self._values is not None:
             raise RuntimeError("batch already swept; create a new one")
-        x = Fraction(x)
-        self.args.append(x)
         self._reps.add(_sweep_rep(x, self.p, self.k))
         return self
 
@@ -140,35 +134,3 @@ class GammaBatch:
                 f"argument {x} (rep {m}) was not registered before the sweep"
             ) from None
 
-
-def gamma_p_batch(batch: GammaBatch) -> list[PrimePowerResidue]:
-    """Values for the batch's arguments, in registration order."""
-    batch.run()
-    return [batch.value(x) for x in batch.args]
-
-
-def gamma_map(args, p: int, k: int) -> dict[Fraction, PrimePowerResidue]:
-    """Batch-evaluate gamma at each argument; one sweep total."""
-    batch = GammaBatch(p, k).add_all(args)
-    batch.run()
-    return {Fraction(a): batch.value(a) for a in args}
-
-
-def pochhammer_gamma(a: RationalLike, n: int, p: int, k: int) -> PrimePowerResidue:
-    """Rising factorial (a)_n mod p^k via the gamma quotient.
-
-    Valid only when every factor a, a+1, ..., a+n-1 is a p-unit; the
-    translation identity behind it breaks on p-divisible factors, so those
-    raise HypothesisViolated instead of returning garbage.
-    """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    for j in range(n):
-        if vp(Fraction(a) + j, p) != 0:
-            raise HypothesisViolated(
-                f"factor {Fraction(a) + j} of ({a})_{n} is not a {p}-unit"
-            )
-    batch = GammaBatch(p, k).add(a).add(Fraction(a) + n)
-    batch.run()
-    quotient = batch.value(Fraction(a) + n) / batch.value(a)
-    return -quotient if n % 2 else quotient

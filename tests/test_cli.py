@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import supercon.cli as cli
 from supercon.cli import main
 from supercon.congruences import CongruenceReport
@@ -81,6 +83,15 @@ def test_pfq_exact_and_residue(capsys):
 def test_pfq_exact_only(capsys):
     code, out, _ = run(["pfq", "--upper", "1/2", "--lower", "1", "--n", "0"], capsys)
     assert (code, out) == (0, "1\n")
+
+
+def test_pfq_failure_leaves_stdout_empty(capsys):
+    code, out, err = run(
+        ["pfq", "--upper", "1/5", "--lower", "1", "--n", "10", "--p", "5", "--k", "3"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert "PrecisionExhausted" in err
 
 
 def test_pfq_needs_both_p_and_k(capsys):
@@ -190,6 +201,25 @@ def test_verify_max_work_guard(capsys):
     )
     assert code == 2
     assert "max-work" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--id", "ff-3.3", "--primes", "7,11"],
+        ["--id", "main-1.4", "--primes", "5..13", "--alpha", "1/2"],
+    ],
+)
+def test_verify_empty_run_exits_two(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert "nothing checked" in err
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    code, out, err = run(["verify", "--id", "zudilin-1.2", "--jobs", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "jobs" in err
 
 
 def test_verify_exit_one_on_violation(monkeypatch, capsys):

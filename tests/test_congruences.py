@@ -1,14 +1,18 @@
 """Checkers and the sweep: reports, domains, error handling, determinism."""
 
+import concurrent.futures
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import supercon.congruences as congruences
-from supercon.arith import PadicCapped
+from supercon.arith import PadicCapped, primes_in, reduce_mod
 from supercon.congruences import (
     CATALOG,
     SweepConfig,
+    estimate_sweep_work,
     sweep,
     verify_cor_6f5,
     verify_cor_quarter,
@@ -30,6 +34,7 @@ from supercon.errors import (
     RangeUnsupported,
 )
 from supercon.eta import eta_product_qexp
+from supercon.gamma import GammaBatch, gamma_p
 
 F = Fraction
 
@@ -43,6 +48,12 @@ def test_catalog_is_fixed():
     assert len(CATALOG) == 12
     assert CATALOG[0] == "kilbourn-1.1"
     assert "gamma-laws" in CATALOG
+
+
+def test_readme_id_table_lists_the_catalog():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    ids = re.findall(r"^\| ([a-z0-9.]+-[a-z0-9.-]+) +\|", readme.read_text(), re.M)
+    assert ids == list(CATALOG)
 
 
 def test_report_record_shape():
@@ -76,6 +87,14 @@ def test_mccarthy_osburn_zero_and_nonzero():
     assert r7.holds and r7.rhs == "0"
     with pytest.raises(ValueError):
         verify_mccarthy_osburn(3)
+
+
+def test_mccarthy_osburn_rhs_needs_gamma_mod_p2_only():
+    """-p * Gamma_p(3/4)^-4 mod p^3 is unchanged when Gamma is read mod p^2."""
+    for p in primes_in(5, 97):
+        if p % 4 == 1:
+            old = reduce_mod(-p, p, 3) * gamma_p(F(3, 4), p, 3) ** (-4)
+            assert verify_mccarthy_osburn(p).rhs == str(old), p
 
 
 def test_long_ramakrishna_both_classes():
@@ -208,6 +227,59 @@ class TestSweep:
         serial = sweep(SweepConfig(**base, jobs=1))
         parallel = sweep(SweepConfig(**base, jobs=3))
         assert strip(serial) == strip(parallel)
+
+    def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(congruences.os, "cpu_count", lambda: 4)
+        three = dict(ids=("zudilin-1.2",), primes=(5, 7, 11))
+        serial = sweep(SweepConfig(**three))
+        assert pools == []
+        assert strip(sweep(SweepConfig(**three, jobs=1000))) == strip(serial)
+        sweep(SweepConfig(ids=("zudilin-1.2",), primes=primes_in(5, 31), jobs=1000))
+        sweep(SweepConfig(**three, jobs=2))
+        sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,), jobs=8))
+        assert pools == [3, 4, 2]  # one cell ran serially
+        monkeypatch.setattr(congruences.os, "cpu_count", lambda: None)
+        sweep(SweepConfig(**three, jobs=8))
+        assert pools == [3, 4, 2]
+
+    def test_cost_bounds_gamma_units(self, monkeypatch):
+        """Each cell's registry cost covers the gamma units it sweeps."""
+        units = []
+        single, run = congruences.gamma_p, GammaBatch.run
+
+        def counted_single(x, p, k):
+            units.append(reduce_mod(x, p, k).value)
+            return single(x, p, k)
+
+        def counted_run(batch):
+            units.append(batch.sweep_length)
+            return run(batch)
+
+        monkeypatch.setattr(congruences, "gamma_p", counted_single)
+        monkeypatch.setattr(GammaBatch, "run", counted_run)
+        for cid in CATALOG:
+            for p in primes_in(5, 23):
+                cfg = SweepConfig(ids=(cid,), primes=(p,), samples=20, pairs=2)
+                units.clear()
+                sweep(cfg)
+                assert sum(units) <= estimate_sweep_work(cfg), (cid, p, units)
+        assert units  # the counters saw the sweeps
 
     def test_ff2_cells_are_seeded(self):
         one = sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=9))

@@ -6,16 +6,8 @@ from random import Random
 import pytest
 
 from supercon.arith import PrimePowerResidue, least_residue, reduce_mod, vp
-from supercon.errors import HypothesisViolated, NonUnitDenominator
-from supercon.gamma import (
-    GammaBatch,
-    gamma_map,
-    gamma_p,
-    gamma_p_batch,
-    pochhammer_gamma,
-    residue_rep,
-)
-from supercon.hyper import pochhammer
+from supercon.errors import NonUnitDenominator
+from supercon.gamma import GammaBatch, gamma_p, residue_rep
 
 F = Fraction
 
@@ -125,10 +117,7 @@ def test_batch_matches_single_calls():
     args = [F(1, 2), 0, F(1, 4), F(3, 4), 7, F(1, 2), F(-5, 3)]
     batch = GammaBatch(p, k).add_all(args)
     batch.run()
-    got = gamma_p_batch(batch)
-    assert got == [gamma_p(a, p, k) for a in args]
-    # registration order survives, duplicates included
-    assert len(got) == len(args)
+    assert [batch.value(a) for a in args] == [gamma_p(a, p, k) for a in args]
 
 
 def test_batch_value_requires_registration():
@@ -137,24 +126,3 @@ def test_batch_value_requires_registration():
     with pytest.raises(KeyError):
         batch.value(F(1, 3))
 
-
-def test_gamma_map():
-    p, k = 7, 2
-    m = gamma_map([F(1, 2), F(1, 3), 1], p, k)
-    assert m[F(1, 2)] == gamma_p(F(1, 2), p, k)
-    assert m[Fraction(1)] == gamma_p(1, p, k)
-    assert len(m) == 3
-
-
-def test_pochhammer_gamma_agrees_with_exact():
-    p, k = 11, 3
-    cases = [(F(1, 2), 4), (F(3, 7), 3), (F(1, 4), 5), (F(2, 3), 0)]
-    for a, n in cases:
-        want = reduce_mod(pochhammer(a, n), p, k)
-        assert pochhammer_gamma(a, n, p, k) == want
-
-
-def test_pochhammer_gamma_rejects_p_divisible_factor():
-    # 1/2 + j sweeps through the class of 0 mod 5 at j = 2 (5/2 is 0 mod 5)
-    with pytest.raises(HypothesisViolated):
-        pochhammer_gamma(F(1, 2), 3, 5, 2)
