@@ -10,7 +10,7 @@ side routes disagreeing) abort, because those mean the evaluator is broken.
 
 Right sides of the form p^t * (product of gamma values) mod p^N evaluate
 the gamma factors at precision N - t and lift: the explicit p^t prefactor
-supplies the missing digits, and the sweep stays O(p^(N-t)).
+supplies the missing digits.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     NonUnitDenominator,
     OracleMismatch,
     PoleInRange,
-    RangeUnsupported,
     SuperconError,
 )
 from .eta import QSeries, a_p, eta_product_qexp
@@ -54,10 +53,6 @@ from .hyper import (
     pfq_mod,
     pochhammer,
 )
-
-#: Primes the mod-p^6 check accepts; the precision-5 sweep is O(p^5) and the
-#: top of this range already costs ~6.4e6 multiplies.
-LR_MAX_PRIME = 23
 
 #: Fast-vs-exact comparisons performed in this process (see _series_class).
 oracle_comparisons = 0
@@ -176,10 +171,6 @@ def verify_long_ramakrishna(p: int) -> CongruenceReport:
     """The one-third-parameter series mod p^6, both residue classes mod 6."""
     t0 = time.perf_counter()
     _require_p5(p)
-    if p > LR_MAX_PRIME:
-        raise RangeUnsupported(
-            f"supported range is 5..{LR_MAX_PRIME} (gamma sweep is O(p^5)), got {p}"
-        )
     third = Fraction(1, 3)
     spec = PfqSpec(
         (third,) * 6 + (Fraction(7, 6),), (1,) * 5 + (Fraction(1, 6),), 1, p - 1
@@ -226,20 +217,15 @@ def _main_rhs_args(alpha: Fraction) -> tuple:
     )
 
 
-def _gamma_product_rhs(
-    p: int, sign: int, factors, batch: GammaBatch | None = None
-) -> PrimePowerResidue:
+def _gamma_product_rhs(p: int, sign: int, factors) -> PrimePowerResidue:
     """sign * p * prod Gamma_p(a)^e over the (a, e) factors, mod p^3.
 
     Zero unless p = 1 (mod 4).  Gamma factors are read at precision 2; the
-    leading p supplies the third digit.  A caller-provided batch must be at
-    (p, 2) and already contain every argument.
+    leading p supplies the third digit.
     """
     if p % 4 != 1:
         return PrimePowerResidue(p, 3, 0)
-    if batch is None:
-        batch = GammaBatch(p, 2).add_all(a for a, _ in factors)
-        batch.run()
+    batch = GammaBatch(p, 2).add_all(a for a, _ in factors).run()
     p2 = p * p
     unit = 1
     for a, e in factors:
@@ -252,21 +238,19 @@ def _quarter_sign(p: int) -> int:
     return -1 if (p + 3) // 4 % 2 else 1
 
 
-def _main_rhs(p: int, alpha: Fraction, batch: GammaBatch | None = None) -> PrimePowerResidue:
+def _main_rhs(p: int, alpha: Fraction) -> PrimePowerResidue:
     """Signed p times the eight-factor gamma product, as a class mod p^3."""
-    return _gamma_product_rhs(p, _quarter_sign(p), _main_rhs_args(alpha), batch)
+    return _gamma_product_rhs(p, _quarter_sign(p), _main_rhs_args(alpha))
 
 
-def verify_main(
-    p: int, alpha, batch: GammaBatch | None = None
-) -> CongruenceReport:
+def verify_main(p: int, alpha) -> CongruenceReport:
     """The shifted-parameter series mod p^3, over the admissible alpha window."""
     t0 = time.perf_counter()
     _require_p5(p)
     alpha = Fraction(alpha)
     alpha_window_residue(alpha, p)
     lhs = _series_class(_main_spec(p, alpha), p, 3)
-    rhs = _main_rhs(p, alpha, batch)
+    rhs = _main_rhs(p, alpha)
     return _report("main-1.4", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
@@ -389,9 +373,7 @@ def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
     return _report("ff-3.2", p, params, 3, lhs_k, rhs_k, t0, ok)
 
 
-def verify_ff3(
-    p: int, alpha, batch: GammaBatch | None = None
-) -> CongruenceReport:
+def verify_ff3(p: int, alpha) -> CongruenceReport:
     """Pochhammer-quotient form of the shifted right side, mod p^3.
 
     The quotient is computed exactly in the cyclotomic field (division is
@@ -432,7 +414,7 @@ def verify_ff3(
         * pochhammer(_to_cyclo(Fraction(3, 4) - alpha), r)
     )
     lhs = cyclo_reduce(num / den, p, 3)
-    rhs = CycloElem(_main_rhs(p, alpha, batch), PrimePowerResidue(p, 3, 0))
+    rhs = CycloElem(_main_rhs(p, alpha), PrimePowerResidue(p, 3, 0))
     return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
@@ -444,7 +426,7 @@ def verify_gamma_laws(
     Covers the two constants, reflection, the shift quotient (unit and
     p-divisible arguments), the rising-factorial formula, the vanishing
     third difference of m -> gamma(a + m p), and the two sign identities
-    used downstream.  All queries share one sweep.
+    used downstream.  All queries share one walk.
     """
     t0 = time.perf_counter()
     _require_p5(p)
@@ -576,24 +558,13 @@ def _per_prime(check):
     return expand
 
 
-def _per_alpha(check, shared_batch: bool):
-    """One report per admissible alpha: check(p, alpha, batch).
-
-    With shared_batch, the alphas of a prime p = 1 (mod 4) share one gamma
-    sweep holding every argument of their main right sides.
-    """
+def _per_alpha(check):
+    """One report per admissible alpha: check(p, alpha)."""
 
     def expand(cid: str, p: int, cfg: "SweepConfig") -> list[CongruenceReport]:
-        alphas = _alphas_for(p, cfg.alphas)
-        batch = None
-        if shared_batch and p % 4 == 1:
-            batch = GammaBatch(p, 2)
-            for alpha in alphas:
-                batch.add_all(a for a, _ in _main_rhs_args(alpha))
-            batch.run()
         return [
-            _guarded(lambda a=a: check(p, a, batch), cid, p, {"alpha": str(a)})
-            for a in alphas
+            _guarded(lambda a=a: check(p, a), cid, p, {"alpha": str(a)})
+            for a in _alphas_for(p, cfg.alphas)
         ]
 
     return expand
@@ -622,13 +593,12 @@ def _unit_denominator_rational(rng: Random, p: int, span: int = 12) -> Fraction:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One catalog id: its prime domain, gamma cost and cell expansion."""
+    """One catalog id: its prime domain and cell expansion."""
 
     expand: object  # (id, p, cfg) -> the cell's reports
     min_p: int | None = 5  # None: one prime-free cell, reported as p = 0
     max_p: int | None = None
     mod4: int | None = None  # residue p must have mod 4, if any
-    cost: object = lambda p: 0  # p -> most gamma units the cell sweeps
 
     def admits(self, p: int) -> bool:
         return (
@@ -640,45 +610,24 @@ class _Entry:
 
 #: The catalog, in report order.
 _REGISTRY = {
-    "kilbourn-1.1": _Entry(
-        _per_prime(
-            lambda p, cfg: verify_kilbourn(p, eta_product_qexp(max(100, p)))
-        ),
-        min_p=3,
-    ),
+    "kilbourn-1.1": _Entry(_per_prime(lambda p, cfg: verify_kilbourn(p)), min_p=3),
     "zudilin-1.2": _Entry(_per_prime(lambda p, cfg: verify_zudilin(p)), min_p=3),
-    "mccarthy-osburn-1.3": _Entry(
-        _per_prime(lambda p, cfg: verify_mccarthy_osburn(p)),
-        cost=lambda p: p * p if p % 4 == 1 else 0,
-    ),
+    "mccarthy-osburn-1.3": _Entry(_per_prime(lambda p, cfg: verify_mccarthy_osburn(p))),
+    # The catalog's domain for this id is 5..23; bench/golden.json pins it.
     "long-ramakrishna-p6": _Entry(
-        _per_prime(lambda p, cfg: verify_long_ramakrishna(p)),
-        max_p=LR_MAX_PRIME,
-        cost=lambda p: p**5 if p % 6 == 1 else p * p,
+        _per_prime(lambda p, cfg: verify_long_ramakrishna(p)), max_p=23
     ),
-    "main-1.4": _Entry(
-        _per_alpha(lambda p, alpha, batch: verify_main(p, alpha, batch), True),
-        cost=lambda p: p * p,
-    ),
-    "cor-1.5": _Entry(
-        _per_prime(lambda p, cfg: verify_cor_quarter(p)), cost=lambda p: p * p
-    ),
-    "cor-1.6": _Entry(
-        _per_prime(lambda p, cfg: verify_cor_6f5(p)), cost=lambda p: 2 * p * p
-    ),
+    "main-1.4": _Entry(_per_alpha(lambda p, alpha: verify_main(p, alpha))),
+    "cor-1.5": _Entry(_per_prime(lambda p, cfg: verify_cor_quarter(p))),
+    "cor-1.6": _Entry(_per_prime(lambda p, cfg: verify_cor_6f5(p))),
     "gs-2.6": _Entry(
         _per_prime(lambda p, cfg: verify_gs(cfg.samples, cfg.seed)), min_p=None
     ),
-    "ff-3.1": _Entry(_per_alpha(lambda p, alpha, _: verify_ff1(p, alpha), False)),
+    "ff-3.1": _Entry(_per_alpha(lambda p, alpha: verify_ff1(p, alpha))),
     "ff-3.2": _Entry(_ff2_draws),
-    "ff-3.3": _Entry(
-        _per_alpha(lambda p, alpha, batch: verify_ff3(p, alpha, batch), True),
-        mod4=1,
-        cost=lambda p: p * p,
-    ),
+    "ff-3.3": _Entry(_per_alpha(lambda p, alpha: verify_ff3(p, alpha)), mod4=1),
     "gamma-laws": _Entry(
-        _per_prime(lambda p, cfg: verify_gamma_laws(p, cfg.samples, cfg.seed)),
-        cost=lambda p: p**3,
+        _per_prime(lambda p, cfg: verify_gamma_laws(p, cfg.samples, cfg.seed))
     ),
 }
 
@@ -727,15 +676,6 @@ def _cells(cfg: SweepConfig) -> list[tuple[str, int]]:
         else:
             cells += [(cid, p) for p in cfg.primes if entry.admits(p)]
     return cells
-
-
-def estimate_sweep_work(cfg: SweepConfig) -> int:
-    """Upper bound on total gamma-sweep length for the sweep, in multiplies.
-
-    Series evaluation is not charged (it is O(p) per report); the guard
-    exists because gamma sweeps are the only superlinear cost.
-    """
-    return sum(_REGISTRY[cid].cost(p) for cid, p in _cells(cfg.normalized()))
 
 
 def sweep(cfg: SweepConfig) -> list[CongruenceReport]:

@@ -37,9 +37,5 @@ class LimitExceeded(SuperconError, ValueError):
     """A series coefficient beyond the cached expansion limit was requested."""
 
 
-class RangeUnsupported(SuperconError, ValueError):
-    """The prime is outside the range this checker is budgeted for."""
-
-
 class OracleMismatch(SuperconError, AssertionError):
     """The fast modular evaluator disagreed with the exact oracle; internal bug, never data."""

@@ -3,15 +3,20 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import supercon
 import supercon.cli as cli
+import supercon.congruences as congruences
 from supercon.cli import main
 from supercon.congruences import CongruenceReport
+from supercon.errors import PrecisionExhausted
 
 
 def run(argv, capsys):
@@ -45,10 +50,10 @@ def test_gamma_bad_argument(capsys):
     assert "NonUnitDenominator" in err
 
 
-def test_gamma_max_work_guard(capsys):
-    code, _, err = run(["gamma", "--p", "97", "--k", "6", "--x", "1/3"], capsys)
-    assert code == 2
-    assert "max-work" in err
+def test_gamma_high_precision(capsys):
+    code, out, _ = run(["gamma", "--p", "97", "--k", "6", "--x", "1/3"], capsys)
+    assert code == 0
+    assert out.endswith(" (m=555314669953)\n")
 
 
 def test_eta_example(capsys):
@@ -194,15 +199,6 @@ def test_verify_rejects_unknown_id(capsys):
     assert "unknown congruence" in err
 
 
-def test_verify_max_work_guard(capsys):
-    code, _, err = run(
-        ["verify", "--id", "gamma-laws", "--primes", "5..97", "--max-work", "1000"],
-        capsys,
-    )
-    assert code == 2
-    assert "max-work" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -230,6 +226,32 @@ def test_verify_exit_one_on_violation(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_verify_checker_error_exits_three(monkeypatch, capsys):
+    real = congruences.verify_zudilin
+
+    def flaky(p):
+        if p == 5:
+            raise PrecisionExhausted("forced for the test")
+        return real(p)
+
+    argv = ["verify", "--id", "zudilin-1.2", "--primes", "5,7"]
+    monkeypatch.setattr(congruences, "verify_zudilin", flaky)
+    code, out, _ = run(argv, capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith(
+        "FAIL zudilin-1.2 p=5 [error=PrecisionExhausted] exact: lhs=error"
+    )
+    assert lines[-1] == "1/2 hold"
+
+    violated = CongruenceReport("zudilin-1.2", 7, {}, 3, "1", "2", False, 0.1)
+    monkeypatch.setattr(
+        congruences, "verify_zudilin", lambda p: violated if p == 7 else flaky(p)
+    )
+    code, _, _ = run(argv, capsys)
+    assert code == 1  # a genuine violation outranks the error row
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["verify", "--format", "yaml"]) == 2
@@ -244,10 +266,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    # The child imports supercon from wherever this process did.
+    src = str(Path(supercon.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "supercon", "eta", "--limit", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1, 0, -4\n"

@@ -1,4 +1,4 @@
-"""p-adic gamma: values, laws, batch sweeps."""
+"""p-adic gamma: values, laws, the block walk."""
 
 from fractions import Fraction
 from random import Random
@@ -126,3 +126,36 @@ def test_batch_value_requires_registration():
     with pytest.raises(KeyError):
         batch.value(F(1, 3))
 
+
+def _walk_cases(p: int, k: int, rng: Random) -> list[int]:
+    """Edges of every block level, the top of the range, and random reps."""
+    pk = p**k
+    reps = [0, 1, 2, p - 1, p, p + 1, pk - 1]
+    for level in range(2, k + 1):
+        reps += [p**level - 1, p**level, p**level + 1]
+    reps += [rng.randrange(pk) for _ in range(12)]
+    return [m % pk for m in reps]
+
+
+def test_block_walk_matches_unit_product():
+    """The block walk against the plain unit product, every level edge."""
+    rng = Random(4099)
+    for p in (3, 5, 7, 11, 13, 23, 31):
+        for k in range(1, 7):
+            pk = p**k
+            if pk > 1.2e6:
+                continue
+            reps = _walk_cases(p, k, rng)
+            batch = GammaBatch(p, k).add_all(reps).run()
+            for m in reps:
+                want = brute_gamma(m, p, pk)
+                assert batch.value(m).value == want, (p, k, m)
+                assert gamma_p(m, p, k).value == want, (p, k, m)
+
+
+def test_reflection_at_p97_k6():
+    """Beyond brute force: gamma(x) * gamma(1-x) == +-1 mod 97^6."""
+    p, k = 97, 6
+    for x in (F(1, 3), F(1, 4), F(-7, 5), 12345678, F(p, 2)):
+        sign = -1 if residue_rep(x, p) % 2 else 1
+        assert gamma_p(x, p, k) * gamma_p(1 - x, p, k) == PrimePowerResidue(p, k, sign)
