@@ -22,7 +22,7 @@ from pathlib import Path
 from .arith import is_prime, primes_in, reduce_mod
 from .congruences import CATALOG, SweepConfig, sweep
 from .errors import OracleMismatch, SuperconError
-from .eta import eta_product_qexp
+from .eta import eta_product_qexp, expansion_updates
 from .gamma import gamma_p
 from .hyper import GSParams, PfqSpec, gs_lhs, gs_rhs, pfq_exact, pfq_mod
 
@@ -171,7 +171,10 @@ def cmd_eta(args) -> int:
     if args.limit < 1:
         print("error: --limit must be at least 1", file=sys.stderr)
         return 2
-    if args.limit * args.limit > args.max_work:
+    # Every pass rewrites all (limit + 1) // 2 coefficients of Y, so the
+    # update count is at least 2 * limit; a limit above W is refused
+    # before its factor lists are built.
+    if args.limit > args.max_work or expansion_updates(args.limit) > args.max_work:
         print(
             f"error: expanding to q^{args.limit} exceeds --max-work "
             f"{args.max_work}",

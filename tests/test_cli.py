@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,25 @@ def test_eta_coeff_past_limit(capsys):
     code, _, err = run(["eta", "--limit", "4", "--coeff", "9"], capsys)
     assert code == 2
     assert "LimitExceeded" in err
+
+
+def test_eta_guard_counts_sparse_updates(capsys):
+    # 3.5e6 updates at limit 20000, under the default 1e8 (limit^2 is 4e8);
+    # 19997 is prime, so |a(p)| <= 2 p^(3/2)
+    code, out, _ = run(["eta", "--limit", "20000", "--coeff", "19997"], capsys)
+    assert code == 0
+    assert int(out) ** 2 <= 4 * 19997**3
+
+
+def test_eta_guard_refuses(capsys):
+    start = time.perf_counter()
+    code, _, err = run(["eta", "--limit", "10000000"], capsys)
+    assert code == 2
+    assert "exceeds --max-work" in err
+    assert time.perf_counter() - start < 1
+    code, _, err = run(["eta", "--limit", "100", "--max-work", "1000"], capsys)
+    assert code == 2
+    assert "exceeds --max-work 1000" in err
 
 
 def test_pfq_exact_and_residue(capsys):

@@ -1,9 +1,13 @@
 """q-expansion of the weight-4 eta product and its prime coefficients."""
 
+import math
+
 import pytest
 
+from supercon.arith import is_prime
+from supercon.congruences import verify_kilbourn
 from supercon.errors import LimitExceeded
-from supercon.eta import QSeries, a_p, eta_product_qexp
+from supercon.eta import QSeries, a_p, eta_product_qexp, expansion_updates
 
 # coefficients frozen from an independent expansion of
 # q * prod (1-q^(2n))^4 (1-q^(4n))^4
@@ -31,6 +35,21 @@ def reference_expansion(limit: int) -> list[int]:
         if e + 1 <= limit:
             shifted[e + 1] = c
     return shifted
+
+
+def loop_expansion(limit: int) -> list[int]:
+    """The eight-pass loop the Jacobi/Euler expansion replaced: each factor
+    (1 - q^m)^4 as four in-place passes of c[i] -= c[i-m], O(limit^2)."""
+    c = [0] * (limit + 1)
+    c[1] = 1
+    for step in (2, 4):
+        m = step
+        while m <= limit:
+            for _ in range(4):
+                for i in range(limit, m - 1, -1):
+                    c[i] -= c[i - m]
+            m += step
+    return c
 
 
 def test_first_coefficients():
@@ -96,3 +115,47 @@ def test_qseries_is_plain_data():
     s = QSeries((0, 1, 0, -4))
     assert s.limit == 3
     assert s.coefficient(3) == -4
+
+
+def test_matches_loop_expansion():
+    for limit in [*range(1, 301), 401, 997, 2000]:
+        assert list(eta_product_qexp(limit).coeffs) == loop_expansion(limit), limit
+
+
+def test_expansion_updates():
+    # four sparse factors, each term t^e updating m + 1 - e coefficients
+    assert expansion_updates(1) == 4
+    assert expansion_updates(997) == 38_664
+    assert expansion_updates(2000) == 109_679
+    assert expansion_updates(10**4) == 1_226_135
+    assert expansion_updates(10**5) == 38_772_847
+
+
+@pytest.fixture(scope="module")
+def a():
+    return eta_product_qexp(2000).coeffs
+
+
+def test_hecke_prime_square(a):
+    for p in range(3, 44):
+        if is_prime(p):
+            assert a[p * p] == a[p] ** 2 - p**3, p
+
+
+def test_multiplicative_on_coprime_odd(a):
+    for m in range(3, 2000, 2):
+        for n in range(m + 2, 2000 // m + 1, 2):
+            if math.gcd(m, n) == 1:
+                assert a[m * n] == a[m] * a[n], (m, n)
+
+
+def test_ramanujan_bound(a):
+    # |a(p)| <= 2 p^(3/2), squared to stay in integers
+    for p in range(3, 2001):
+        if is_prime(p):
+            assert a[p] ** 2 <= 4 * p**3, p
+
+
+@pytest.mark.parametrize("p", [401, 997])
+def test_kilbourn_at_sweep_endpoints(p):
+    assert verify_kilbourn(p).holds
