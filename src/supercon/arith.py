@@ -6,8 +6,9 @@ works over the four scalar kinds defined here:
   * exact rationals      -- fractions.Fraction, used as-is
   * PrimePowerResidue    -- an element of Z/p^k for an odd prime p, 1 <= k <= 6
   * PadicCapped          -- p^v * unit with a tracked relative precision
-  * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0, over either of the
-                            exact or residue scalar kinds above
+  * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0 and exact rational
+                            coordinates; cyclo_reduce gives its class mod p^k
+                            as the representative with coordinates in [0, p^k)
 
 Valuations are computed exactly on rationals; nothing here ever rounds.
 """
@@ -414,62 +415,33 @@ class PadicCapped:
         )
 
 
-Scalar = Union[Fraction, PrimePowerResidue]
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (Fraction, PrimePowerResidue))
-
-
 @dataclass(frozen=True)
 class CycloElem:
-    """c0 + c1*w in the ring generated by a primitive cube root of unity.
+    """c0 + c1*w in Q(w), w a primitive cube root of unity.
 
-    The defining relation is w^2 = -(1 + w); coordinates are either both
-    exact Fractions or both PrimePowerResidue with matching modulus.  The
-    exact ring is an integral domain whose norm form c0^2 - c0*c1 + c1^2
-    vanishes only at zero, so exact division is total away from zero.
-    Modular coordinates support ring operations but not division.
+    The defining relation is w^2 = -(1 + w); both coordinates are exact
+    Fractions (ints are promoted).  The ring is an integral domain whose
+    norm form c0^2 - c0*c1 + c1^2 vanishes only at zero, so division is
+    total away from zero.  Classes mod p^k are held as the representatives
+    cyclo_reduce returns.
     """
 
-    c0: Scalar
-    c1: Scalar
+    c0: Fraction
+    c1: Fraction
 
     def __post_init__(self):
-        a0, a1 = self.c0, self.c1
-        if isinstance(a0, int):
-            a0 = Fraction(a0)
-        if isinstance(a1, int):
-            a1 = Fraction(a1)
-        if isinstance(a0, Fraction) != isinstance(a1, Fraction):
-            raise TypeError("coordinates must both be exact or both residues")
-        if isinstance(a0, PrimePowerResidue) and (
-            a0.p != a1.p or a0.k != a1.k
-        ):
-            raise ValueError("coordinate moduli differ")
-        object.__setattr__(self, "c0", a0)
-        object.__setattr__(self, "c1", a1)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.c0, Fraction)
+        object.__setattr__(self, "c0", _as_fraction(self.c0))
+        object.__setattr__(self, "c1", _as_fraction(self.c1))
 
     @property
     def is_zero(self) -> bool:
-        if self.is_exact:
-            return self.c0 == 0 and self.c1 == 0
-        return self.c0.value == 0 and self.c1.value == 0
+        return self.c0 == 0 and self.c1 == 0
 
     def _coerce(self, other):
         if isinstance(other, CycloElem):
-            if other.is_exact != self.is_exact:
-                raise TypeError("cannot mix exact and modular ring elements")
             return other
         if isinstance(other, (int, Fraction)):
-            if self.is_exact:
-                return CycloElem(_as_fraction(other), Fraction(0))
-            p, k = self.c0.p, self.c0.k
-            return CycloElem(reduce_mod(other, p, k), PrimePowerResidue(p, k, 0))
+            return CycloElem(other, 0)
         return NotImplemented
 
     def __add__(self, other):
@@ -509,7 +481,7 @@ class CycloElem:
     def __pow__(self, n: int) -> "CycloElem":
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = self._one()
+        out = CycloElem(1, 0)
         base = self
         while n:
             if n & 1:
@@ -518,32 +490,20 @@ class CycloElem:
             n >>= 1
         return out
 
-    def _one(self) -> "CycloElem":
-        if self.is_exact:
-            return CycloElem(Fraction(1), Fraction(0))
-        return CycloElem(
-            PrimePowerResidue(self.c0.p, self.c0.k, 1),
-            PrimePowerResidue(self.c0.p, self.c0.k, 0),
-        )
-
     def conjugate(self) -> "CycloElem":
         """Image under w -> w^2 = -1 - w."""
         return CycloElem(self.c0 - self.c1, -self.c1)
 
-    def norm(self) -> Scalar:
-        """c0^2 - c0*c1 + c1^2; multiplicative, and zero only at zero (exact)."""
+    def norm(self) -> Fraction:
+        """c0^2 - c0*c1 + c1^2; multiplicative, and zero only at zero."""
         return self.c0 * self.c0 - self.c0 * self.c1 + self.c1 * self.c1
 
     def inverse(self) -> "CycloElem":
-        if not self.is_exact:
-            raise NonInvertible(
-                "modular ring elements are not inverted here; work exactly, "
-                "then reduce"
-            )
         n = self.norm()
         if n == 0:
             raise NonInvertible("zero has no inverse")
-        return CycloElem(self.conjugate().c0 / n, self.conjugate().c1 / n)
+        conj = self.conjugate()
+        return CycloElem(conj.c0 / n, conj.c1 / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -555,12 +515,18 @@ class CycloElem:
         return f"{self.c0} + {self.c1}*w"
 
 
-#: The generator itself, as an exact ring element.
-OMEGA = CycloElem(Fraction(0), Fraction(1))
+#: The generator itself.
+OMEGA = CycloElem(0, 1)
 
 
 def cyclo_reduce(x: CycloElem, p: int, k: int) -> CycloElem:
-    """Coordinatewise reduction of an exact ring element mod p^k."""
-    if not isinstance(x, CycloElem) or not x.is_exact:
-        raise TypeError("cyclo_reduce expects an exact ring element")
-    return CycloElem(reduce_mod(x.c0, p, k), reduce_mod(x.c1, p, k))
+    """The canonical representative of x mod p^k.
+
+    Each coordinate is reduced to its integer representative in [0, p^k);
+    a p in a coordinate's denominator raises NonUnitDenominator.  Ring
+    operations on representatives followed by another cyclo_reduce agree
+    with reducing the exact result.
+    """
+    if not isinstance(x, CycloElem):
+        raise TypeError("cyclo_reduce expects a CycloElem")
+    return CycloElem(reduce_mod(x.c0, p, k).value, reduce_mod(x.c1, p, k).value)

@@ -26,7 +26,8 @@ from .eta import eta_product_qexp, expansion_updates
 from .gamma import gamma_p
 from .hyper import GSParams, PfqSpec, gs_lhs, gs_rhs, pfq_exact, pfq_mod
 
-#: Ceiling on ring multiplications a single invocation may schedule.
+#: Default --max-work ceiling: terms for pfq and identity, coefficient
+#: updates for eta.
 DEFAULT_MAX_WORK = 10**8
 
 _COLUMNS = ("id", "p", "params", "modulus", "lhs", "rhs", "holds", "elapsed_ms")
@@ -208,14 +209,13 @@ def cmd_identity(args) -> int:
     return 0 if equal else 1
 
 
-def _add_max_work(parser) -> None:
+def _add_max_work(parser, refuses: str) -> None:
     parser.add_argument(
         "--max-work",
         type=int,
         default=DEFAULT_MAX_WORK,
         metavar="W",
-        help=f"refuse requests needing more than W ring multiplications "
-        f"(default {DEFAULT_MAX_WORK})",
+        help=f"refuse {refuses} (default {DEFAULT_MAX_WORK})",
     )
 
 
@@ -282,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--p", type=int, help="also reduce mod p^k")
     f.add_argument("--k", type=int)
-    _add_max_work(f)
+    _add_max_work(f, "an --n above W")
     f.set_defaults(func=cmd_pfq)
 
     e = sub.add_parser("eta", help="eta-product q-expansion coefficients")
     e.add_argument("--limit", type=int, required=True)
     e.add_argument("--coeff", type=int, help="print only this coefficient")
-    _add_max_work(e)
+    _add_max_work(e, "expansions needing more than W coefficient updates")
     e.set_defaults(func=cmd_eta)
 
     i = sub.add_parser("identity", help="both sides of the terminating identity")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--b", required=True, metavar="RATIONAL")
     i.add_argument("--d", required=True, metavar="RATIONAL")
     i.add_argument("--n", type=int, required=True)
-    _add_max_work(i)
+    _add_max_work(i, "an --n above W")
     i.set_defaults(func=cmd_identity)
 
     return parser

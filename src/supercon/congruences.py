@@ -44,9 +44,9 @@ from .gamma import GammaBatch, gamma_p, residue_rep
 from .hyper import (
     GSParams,
     PfqSpec,
-    _to_cyclo,
     alpha_window_residue,
     ff1_build,
+    ff_point,
     gs_lhs,
     gs_rhs,
     pfq_exact,
@@ -341,10 +341,12 @@ def verify_ff1(p: int, alpha) -> CongruenceReport:
 
 
 def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
-    """Triple-product congruence in the modular cyclotomic ring.
+    """Triple-product congruence in Z[w], carried on representatives mod p^3.
 
     Checks (u+vp)_k (u+vpw)_k (u+vpw^2)_k against (u)_k^3 mod p^3 for every
-    k up to kmax, building both sides incrementally.
+    k up to kmax.  u and v are p-integral, so u and the three factors
+    u + vp*w^i are reduced to representatives once, and both products are
+    extended one k at a time and reduced again after every step.
     """
     t0 = time.perf_counter()
     check_odd_prime(p)
@@ -354,33 +356,31 @@ def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
             raise NonUnitDenominator(f"{name} = {val} has {p} in its denominator")
     if not 0 <= kmax <= (p - 1) // 2:
         raise ValueError(f"kmax must lie in 0..{(p - 1) // 2}, got {kmax}")
-    factors = tuple(_to_cyclo(u) + (OMEGA**j) * (v * p) for j in range(3))
-    zero = PrimePowerResidue(p, 3, 0)
-    triple = _to_cyclo(1)
-    plain = Fraction(1)
-    lhs_k = cyclo_reduce(triple, p, 3)
-    rhs_k = CycloElem(reduce_mod(plain**3, p, 3), zero)
-    ok = lhs_k == rhs_k
-    for k in range(1, kmax + 1):
-        j = k - 1
-        for f in factors:
-            triple = triple * (f + j)
-        plain = plain * (u + j)
-        lhs_k = cyclo_reduce(triple, p, 3)
-        rhs_k = CycloElem(reduce_mod(plain**3, p, 3), zero)
-        ok &= lhs_k == rhs_k
+    m = p**3
+    u_rep = reduce_mod(u, p, 3).value
+    factors = tuple(cyclo_reduce(u + OMEGA**i * (v * p), p, 3) for i in range(3))
+    lhs = rhs = CycloElem(1, 0)  # k = 0
+    plain = 1
+    ok = True
+    for j in range(kmax):
+        f0, f1, f2 = (f + j for f in factors)
+        lhs = cyclo_reduce(lhs * f0 * f1 * f2, p, 3)
+        plain = plain * (u_rep + j) % m
+        rhs = CycloElem(pow(plain, 3, m), 0)
+        ok &= lhs == rhs
     params = {"u": str(u), "v": str(v), "kmax": str(kmax)}
-    return _report("ff-3.2", p, params, 3, lhs_k, rhs_k, t0, ok)
+    return _report("ff-3.2", p, params, 3, lhs, rhs, t0, ok)
 
 
 def verify_ff3(p: int, alpha) -> CongruenceReport:
-    """Pochhammer-quotient form of the shifted right side, mod p^3.
+    """ff-3.1's closed form reduced mod p^3, against the shifted right side.
 
-    The quotient is computed exactly in the cyclotomic field (division is
-    total there), reduced coordinatewise, and compared with the gamma
-    product embedded on the rational axis.  Only defined for p = 1 mod 4;
-    the non-vanishing hypotheses on the four alpha-dependent Pochhammers
-    are checked explicitly.
+    gs_rhs at ff_point(p, alpha) is a quotient of eight Pochhammers of
+    length (p - 1)/4, computed exactly in the cyclotomic field; its
+    representative mod p^3 is compared with the gamma product embedded on
+    the rational axis.  Only defined for p = 1 mod 4; the non-vanishing
+    hypotheses on the four alpha-dependent Pochhammers are checked
+    explicitly.
     """
     t0 = time.perf_counter()
     _require_p5(p)
@@ -400,21 +400,8 @@ def verify_ff3(p: int, alpha) -> CongruenceReport:
                 raise HypothesisViolated(
                     f"Pochhammer factor {factor} vanishes mod {p}"
                 )
-    w2p = OMEGA.conjugate() * p
-    num = (
-        pochhammer(_to_cyclo(_HALF), r)
-        * pochhammer(_to_cyclo(Fraction(5, 4)), r)
-        * pochhammer((_to_cyclo(4 * alpha + 3) + w2p) * _QUARTER, r)
-        * pochhammer((_to_cyclo(2 - 4 * alpha) + w2p) * _QUARTER, r)
-    )
-    den = (
-        pochhammer((_to_cyclo(1) + w2p) * _QUARTER, r)
-        * pochhammer((_to_cyclo(4) + w2p) * _QUARTER, r)
-        * pochhammer(_to_cyclo(1 + alpha), r)
-        * pochhammer(_to_cyclo(Fraction(3, 4) - alpha), r)
-    )
-    lhs = cyclo_reduce(num / den, p, 3)
-    rhs = CycloElem(_main_rhs(p, alpha), PrimePowerResidue(p, 3, 0))
+    lhs = cyclo_reduce(gs_rhs(ff_point(p, alpha)), p, 3)
+    rhs = CycloElem(_main_rhs(p, alpha).value, 0)
     return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
@@ -657,8 +644,8 @@ class SweepConfig:
         for p in primes:
             check_odd_prime(p)
         alphas = self.alphas
-        if alphas != "all":
-            alphas = tuple(Fraction(a) for a in alphas)
+        if alphas != "all":  # drop repeats, keeping first-seen order
+            alphas = tuple(dict.fromkeys(Fraction(a) for a in alphas))
         return replace(self, ids=ids, primes=primes, alphas=alphas)
 
 

@@ -50,9 +50,7 @@ def _is_cyclo(x) -> bool:
 
 
 def _to_cyclo(x: Param) -> CycloElem:
-    if isinstance(x, CycloElem):
-        return x
-    return CycloElem(_as_fraction(x), Fraction(0))
+    return x if isinstance(x, CycloElem) else CycloElem(x, 0)
 
 
 @dataclass(frozen=True)
@@ -288,11 +286,21 @@ def alpha_window_residue(alpha: Fraction, p: int) -> int:
     return r
 
 
-def ff1_build(p: int, alpha) -> tuple[CycloElem, CycloElem]:
-    """Both sides of the identity at the root-of-unity point, exactly.
+def ff_point(p: int, alpha: Fraction) -> GSParams:
+    """The root-of-unity point (1/4, 1/2 + alpha, (1 + w^2 p)/4, (p-1)/2).
 
-    Specializes (a, b, d, n) to (1/4, 1/2 + alpha, (1 + w^2 p)/4, (p-1)/2)
-    and returns (series value, closed form) as exact CycloElem elements.  The
+    No admissibility checks; ff1_build and the ff-3.3 checker make them.
+    """
+    a = _to_cyclo(Fraction(1, 4))
+    b = _to_cyclo(Fraction(1, 2) + alpha)
+    d = (OMEGA.conjugate() * p + 1) * Fraction(1, 4)  # w^2 = -1 - w
+    return GSParams(a, b, d, (p - 1) // 2)
+
+
+def ff1_build(p: int, alpha) -> tuple[CycloElem, CycloElem]:
+    """Both sides of the identity at ff_point(p, alpha), exactly.
+
+    Returns (series value, closed form) as exact CycloElem elements.  The
     two are equal for every admissible (p, alpha); callers assert that,
     and the congruence layer reduces the shared value mod p^3.
     """
@@ -301,9 +309,5 @@ def ff1_build(p: int, alpha) -> tuple[CycloElem, CycloElem]:
         raise ValueError("p must be at least 5")
     alpha = _as_fraction(alpha)
     alpha_window_residue(alpha, p)
-    omega2 = OMEGA.conjugate()  # w^2 = -1 - w
-    a = Fraction(1, 4)
-    b = Fraction(1, 2) + alpha
-    d = (omega2 * p + 1) * Fraction(1, 4)
-    g = GSParams(_to_cyclo(a), _to_cyclo(b), d, (p - 1) // 2)
+    g = ff_point(p, alpha)
     return gs_lhs(g), gs_rhs(g)

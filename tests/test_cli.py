@@ -125,6 +125,15 @@ def test_pfq_needs_both_p_and_k(capsys):
     assert "--p and --k" in err
 
 
+def test_pfq_guard_counts_terms(capsys):
+    argv = ["pfq", "--upper", "1/2", "--lower", "1", "--n", "11"]
+    code, out, err = run(argv + ["--max-work", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert "11 terms exceeds --max-work 10" in err
+    code, _, _ = run(argv + ["--max-work", "11"], capsys)
+    assert code == 0
+
+
 def test_identity_example(capsys):
     code, out, _ = run(
         ["identity", "--a", "1/4", "--b", "1/2", "--d", "1/4", "--n", "2"], capsys
@@ -139,6 +148,27 @@ def test_identity_odd_n(capsys):
     )
     assert code == 0
     assert out == "0 = 0, equal\n"
+
+
+def test_identity_guard_counts_terms(capsys):
+    argv = ["identity", "--a", "1/4", "--b", "1/2", "--d", "1/4", "--n", "11"]
+    code, out, err = run(argv + ["--max-work", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert "11 terms exceeds --max-work 10" in err
+    code, _, _ = run(argv + ["--max-work", "11"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, refuses",
+    [("pfq", "an --n above W"), ("identity", "an --n above W"),
+     ("eta", "more than W coefficient updates")],
+)
+def test_max_work_help_names_its_count(command, refuses, capsys):
+    assert main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert refuses in out
+    assert "ring multiplications" not in out
 
 
 def test_identity_pole_is_usage_error(capsys):
@@ -205,6 +235,19 @@ def test_verify_deterministic_bytes(capsys):
     assert mask_times(out1) == mask_times(out2)
     _, out3, _ = run(argv + ["--jobs", "2"], capsys)
     assert mask_times(out1) == mask_times(out3)
+
+
+def test_verify_repeated_alpha_reports_once(capsys):
+    argv = ["verify", "--id", "main-1.4,ff-3.1", "--primes", "13"]
+    code, out, _ = run(argv + ["--alpha", "1,1,2/2"], capsys)
+    assert code == 0
+    assert out.endswith("2/2 hold\n")
+    _, once, _ = run(argv + ["--alpha", "1"], capsys)
+    assert mask_times(out) == mask_times(once)
+    _, both, _ = run(argv + ["--alpha", "2,0,2"], capsys)
+    assert [line.split()[3] for line in both.splitlines()[:-1]] == [
+        "[alpha=2]", "[alpha=0]", "[alpha=2]", "[alpha=0]"
+    ]
 
 
 def test_verify_rejects_composite_endpoint(capsys):

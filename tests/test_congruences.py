@@ -4,11 +4,12 @@ import concurrent.futures
 import re
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import supercon.congruences as congruences
-from supercon.arith import PadicCapped, primes_in, reduce_mod
+from supercon.arith import OMEGA, PadicCapped, cyclo_reduce, primes_in, reduce_mod
 from supercon.congruences import (
     CATALOG,
     SweepConfig,
@@ -28,12 +29,14 @@ from supercon.congruences import (
 )
 from supercon.errors import (
     AlphaOutOfRange,
+    HypothesisViolated,
     NonUnitDenominator,
     OracleMismatch,
     PrecisionExhausted,
 )
 from supercon.eta import eta_product_qexp
 from supercon.gamma import gamma_p
+from supercon.hyper import _to_cyclo, pochhammer
 
 F = Fraction
 
@@ -150,6 +153,93 @@ def test_ff3_domain():
     assert verify_ff3(13, 3).holds
     with pytest.raises(ValueError):
         verify_ff3(7, 0)  # wrong class mod 4
+
+
+_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
+
+
+def hand_built_quotient(p, alpha):
+    """ff-3.3's former left side: the eight Pochhammers written out by hand."""
+    r = (p - 1) // 4
+    w2p = OMEGA.conjugate() * p
+    num = (
+        pochhammer(_to_cyclo(_HALF), r)
+        * pochhammer(_to_cyclo(Fraction(5, 4)), r)
+        * pochhammer((_to_cyclo(4 * alpha + 3) + w2p) * _QUARTER, r)
+        * pochhammer((_to_cyclo(2 - 4 * alpha) + w2p) * _QUARTER, r)
+    )
+    den = (
+        pochhammer((_to_cyclo(1) + w2p) * _QUARTER, r)
+        * pochhammer((_to_cyclo(4) + w2p) * _QUARTER, r)
+        * pochhammer(_to_cyclo(1 + alpha), r)
+        * pochhammer(_to_cyclo(Fraction(3, 4) - alpha), r)
+    )
+    return num / den
+
+
+def test_ff3_matches_hand_built_quotient():
+    rng = Random(33)
+    checked = 0
+    for p in primes_in(5, 101):
+        if p % 4 != 1:
+            continue
+        alphas = [F(a) for a in range(p // 4 + 1)]
+        while len(alphas) < p // 4 + 4:  # a few admissible non-integers
+            alpha = F(rng.randint(-30, 30), rng.randint(2, 9))
+            if alpha.denominator % p and reduce_mod(alpha, p, 1).value <= p // 4:
+                alphas.append(alpha)
+        for alpha in alphas:
+            try:
+                r = verify_ff3(p, alpha)
+            except HypothesisViolated:
+                continue
+            expected = cyclo_reduce(hand_built_quotient(p, alpha), p, 3)
+            assert r.lhs == str(expected), (p, alpha)
+            assert r.holds, (p, alpha)
+            checked += 1
+    assert checked > 120
+
+
+def exact_triple_loop(p, u, v, kmax):
+    """ff-3.2's former loop: the exact triple product, reduced at every k."""
+    factors = tuple(_to_cyclo(u) + (OMEGA**j) * (v * p) for j in range(3))
+    triple = _to_cyclo(1)
+    plain = Fraction(1)
+    lhs_k = cyclo_reduce(triple, p, 3)
+    rhs_k = cyclo_reduce(_to_cyclo(plain**3), p, 3)
+    ok = lhs_k == rhs_k
+    for k in range(1, kmax + 1):
+        j = k - 1
+        for f in factors:
+            triple = triple * (f + j)
+        plain = plain * (u + j)
+        lhs_k = cyclo_reduce(triple, p, 3)
+        rhs_k = cyclo_reduce(_to_cyclo(plain**3), p, 3)
+        ok &= lhs_k == rhs_k
+    return ok, str(lhs_k), str(rhs_k)
+
+
+def test_ff2_matches_exact_triple_loop():
+    rng = Random(44)
+
+    def draw(p):
+        den = rng.randint(1, 12)
+        while den % p == 0:
+            den = rng.randint(1, 12)
+        return F(rng.randint(-12, 12), den)
+
+    for p in (5, 7, 13, 31):
+        pairs = [(draw(p), draw(p)) for _ in range(8)]
+        pairs += [(draw(p), F(0)), (F(0), draw(p)), (F(0), F(0))]
+        pairs += [(p * draw(p), draw(p)), (p**2 * draw(p), draw(p))]
+        pairs += [(F(-p, 2), draw(p)), (F(p**3, 7 if p != 7 else 5), F(0))]
+        for u, v in pairs:
+            for kmax in sorted({0, 1, (p - 1) // 2}):
+                r = verify_ff2(p, u, v, kmax)
+                assert (r.holds, r.lhs, r.rhs) == exact_triple_loop(p, u, v, kmax), (
+                    p, u, v, kmax
+                )
 
 
 def test_gamma_laws_checker():

@@ -17,6 +17,7 @@ from supercon.hyper import (
     PfqSpec,
     alpha_window_residue,
     ff1_build,
+    ff_point,
     gs_lhs,
     gs_rhs,
     pfq_exact,
@@ -195,6 +196,13 @@ class TestFF1Build:
             for alpha in range(p // 4 + 1):
                 lhs, rhs = ff1_build(p, F(alpha))
                 assert lhs == rhs, (p, alpha)
+
+    def test_point(self):
+        g = ff_point(13, F(2))
+        assert (g.a, g.b, g.n) == (CycloElem(F(1, 4), F(0)), CycloElem(F(5, 2), F(0)), 6)
+        assert g.d == (OMEGA.conjugate() * 13 + 1) * F(1, 4)
+        assert g.d == CycloElem(F(-3), F(-13, 4))
+        assert ff1_build(13, F(2)) == (gs_lhs(g), gs_rhs(g))
 
     def test_three_mod_four_gives_zero(self):
         lhs, rhs = ff1_build(7, F(1))
