@@ -199,18 +199,6 @@ class PrimePowerResidue:
             return self.inverse() ** (-n)
         return PrimePowerResidue(self.p, self.k, pow(self.value, n, self.modulus))
 
-    def lift(self, k: int) -> "PrimePowerResidue":
-        """Reinterpret at a lower precision k' <= k (digit truncation)."""
-        _check_precision(k)
-        if k > self.k:
-            raise PrecisionOutOfRange(
-                f"cannot lift a mod-{self.p}^{self.k} residue to precision {k}"
-            )
-        return PrimePowerResidue(self.p, k, self.value)
-
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         return str(self.value)
 
@@ -295,10 +283,6 @@ class PadicCapped:
         m = p**precision
         unit = u.numerator * pow(u.denominator, -1, m) % m
         return cls(p, v, unit, precision)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exact_zero
 
     @property
     def abs_precision(self):
@@ -389,23 +373,6 @@ class PadicCapped:
             )
         return PrimePowerResidue(self.p, k, self.p**self.valuation * self.unit)
 
-    def congruent(self, other: "PadicCapped") -> bool:
-        """Agreement on every digit both sides actually know."""
-        self._require_same_p(other)
-        if self.exact_zero and other.exact_zero:
-            return True
-        if self.exact_zero or other.exact_zero:
-            # A nonzero capped value has a certified leading unit digit.
-            return False
-        n = min(self.abs_precision, other.abs_precision)
-        v = min(self.valuation, other.valuation)
-        if n <= v:
-            return True
-        m = self.p ** (n - v)
-        a = self.unit * self.p ** (self.valuation - v) % m
-        b = other.unit * other.p ** (other.valuation - v) % m
-        return a == b
-
     def __str__(self) -> str:
         if self.exact_zero:
             return "0 (exact)"
@@ -423,7 +390,9 @@ class CycloElem:
     Fractions (ints are promoted).  The ring is an integral domain whose
     norm form c0^2 - c0*c1 + c1^2 vanishes only at zero, so division is
     total away from zero.  Classes mod p^k are held as the representatives
-    cyclo_reduce returns.
+    cyclo_reduce returns.  An element on the rational axis equals, and
+    hashes like, its rational, so ints, Fractions and CycloElems mix in
+    arithmetic and comparison without explicit promotion.
     """
 
     c0: Fraction
@@ -433,16 +402,22 @@ class CycloElem:
         object.__setattr__(self, "c0", _as_fraction(self.c0))
         object.__setattr__(self, "c1", _as_fraction(self.c1))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
     def _coerce(self, other):
         if isinstance(other, CycloElem):
             return other
         if isinstance(other, (int, Fraction)):
             return CycloElem(other, 0)
         return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, CycloElem):
+            return self.c0 == other.c0 and self.c1 == other.c1
+        if isinstance(other, (int, Fraction)):
+            return self.c1 == 0 and self.c0 == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.c0) if self.c1 == 0 else hash((self.c0, self.c1))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -510,6 +485,12 @@ class CycloElem:
         if o is NotImplemented:
             return o
         return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o * self.inverse()
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*w"

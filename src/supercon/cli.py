@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import is_prime, primes_in, reduce_mod
-from .congruences import CATALOG, SweepConfig, sweep
+from .congruences import CATALOG, SweepConfig, _unlimited_int_str, sweep
 from .errors import OracleMismatch, SuperconError
 from .eta import eta_product_qexp, expansion_updates
 from .gamma import gamma_p
@@ -154,11 +154,7 @@ def cmd_pfq(args) -> int:
         _parse_rational(args.z),
         args.n,
     )
-    if args.n > args.max_work:
-        print(
-            f"error: {args.n} terms exceeds --max-work {args.max_work}",
-            file=sys.stderr,
-        )
+    if _refuse_terms(args):
         return 2
     text = f"{pfq_exact(spec)}\n"
     if args.p is not None:
@@ -191,11 +187,7 @@ def cmd_eta(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    if args.n > args.max_work:
-        print(
-            f"error: {args.n} terms exceeds --max-work {args.max_work}",
-            file=sys.stderr,
-        )
+    if _refuse_terms(args):
         return 2
     g = GSParams(
         _parse_rational(args.a),
@@ -217,6 +209,14 @@ def _add_max_work(parser, refuses: str) -> None:
         metavar="W",
         help=f"refuse {refuses} (default {DEFAULT_MAX_WORK})",
     )
+
+
+def _refuse_terms(args) -> bool:
+    """Print the refusal and return True when --n exceeds --max-work."""
+    if args.n <= args.max_work:
+        return False
+    print(f"error: {args.n} terms exceeds --max-work {args.max_work}", file=sys.stderr)
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,6 +308,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    _unlimited_int_str()  # exact values can run past CPython's 4300 digits
     try:
         return args.func(args)
     except OracleMismatch as e:

@@ -16,6 +16,7 @@ supplies the missing digits.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .errors import (
     NonUnitDenominator,
     OracleMismatch,
     PoleInRange,
-    SuperconError,
 )
 from .eta import QSeries, a_p, eta_product_qexp
 from .gamma import GammaBatch, gamma_p, residue_rep
@@ -497,7 +497,8 @@ def verify_gamma_laws(
 
 
 def _guarded(fn, cid: str, p: int, params: dict) -> CongruenceReport:
-    """Failure is data: a checker error becomes a holds=false report.
+    """Failure is data: any checker error becomes a holds=false report whose
+    params name the exception type, so one failing cell costs one row.
 
     The one exception is OracleMismatch, which means the evaluator itself
     is wrong; that must halt the sweep, not masquerade as a violation.
@@ -507,7 +508,7 @@ def _guarded(fn, cid: str, p: int, params: dict) -> CongruenceReport:
         return fn()
     except OracleMismatch:
         raise
-    except SuperconError as e:
+    except Exception as e:
         params = {**params, "error": type(e).__name__}
         return _report(cid, p, params, 0, "error", str(e)[:200], t0, False)
 
@@ -665,13 +666,20 @@ def _cells(cfg: SweepConfig) -> list[tuple[str, int]]:
     return cells
 
 
+def _unlimited_int_str() -> None:
+    """Let str() print integers of any size: CPython caps it at 4300 digits
+    by default, which exact ff-3.1 values pass near p = 3301."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def sweep(cfg: SweepConfig) -> list[CongruenceReport]:
     """Run every selected (id, prime) cell; deterministic report order.
 
     Cells are ordered by catalog position then prime; parameterized cells
     expand in parameter order.  Cells run in a process pool of
     min(jobs, cells, CPUs) workers when that is above one, and results are
-    still emitted in cell order.
+    still emitted in cell order.  Pool workers print integers of any size.
     """
     cfg = cfg.normalized()
     cells = _cells(cfg)
@@ -680,7 +688,7 @@ def sweep(cfg: SweepConfig) -> list[CongruenceReport]:
         from concurrent.futures import ProcessPoolExecutor
 
         cids, ps = zip(*cells)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=_unlimited_int_str) as pool:
             chunks = list(pool.map(_run_cell, cids, ps, [cfg] * len(cells)))
     else:
         chunks = [_run_cell(cid, p, cfg) for cid, p in cells]

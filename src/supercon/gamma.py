@@ -34,11 +34,6 @@ from .arith import (
 )
 
 
-def _sweep_rep(x: RationalLike, p: int, k: int) -> int:
-    """Representative of x in [0, p^k); gamma at x is the product below it."""
-    return reduce_mod(x, p, k).value
-
-
 def residue_rep(x: RationalLike, p: int) -> int:
     """The representative of x mod p in {1, ..., p}.
 
@@ -121,7 +116,7 @@ class GammaBatch:
     def add(self, x: RationalLike) -> "GammaBatch":
         if self._values is not None:
             raise RuntimeError("batch already swept; create a new one")
-        self._reps.add(_sweep_rep(x, self.p, self.k))
+        self._reps.add(reduce_mod(x, self.p, self.k).value)
         return self
 
     def add_all(self, xs) -> "GammaBatch":
@@ -162,7 +157,7 @@ class GammaBatch:
     def value(self, x: RationalLike) -> PrimePowerResidue:
         if self._values is None:
             self.run()
-        m = _sweep_rep(x, self.p, self.k)
+        m = reduce_mod(x, self.p, self.k).value
         try:
             return self._values[m]
         except KeyError:

@@ -37,30 +37,24 @@ def pochhammer(x: Param, n: int) -> Param:
     """Rising factorial x(x+1)...(x+n-1); exact, over rationals or CycloElem."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if isinstance(x, int):
-        x = Fraction(x)
-    out = x**0  # one of the matching kind
+    out = Fraction(1)
     for j in range(n):
         out = out * (x + j)
     return out
 
 
-def _is_cyclo(x) -> bool:
-    return isinstance(x, CycloElem)
-
-
-def _to_cyclo(x: Param) -> CycloElem:
-    return x if isinstance(x, CycloElem) else CycloElem(x, 0)
+def _param(x: Param) -> Param:
+    """A series entry: ints become Fraction; Fraction and CycloElem stay."""
+    return x if isinstance(x, CycloElem) else _as_fraction(x)
 
 
 @dataclass(frozen=True)
 class PfqSpec:
     """Parameters of a truncated series: sum_{k=0}^{n} of the usual term.
 
-    Upper and lower entries are rationals, or CycloElem elements if any entry
-    (or z) lives in the extension; mixed input is promoted to the common
-    kind at construction.  The implicit k! belongs to the lower side and
-    is supplied by the evaluators, not listed here.
+    Upper and lower entries and z are rationals or CycloElem elements; each
+    keeps its kind.  The implicit k! belongs to the lower side and is
+    supplied by the evaluators, not listed here.
     """
 
     upper: tuple
@@ -71,51 +65,33 @@ class PfqSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("truncation index must be nonnegative")
-        entries = (*self.upper, *self.lower, self.z)
-        if any(_is_cyclo(e) for e in entries):
-            up = tuple(_to_cyclo(e) for e in self.upper)
-            lo = tuple(_to_cyclo(e) for e in self.lower)
-            z = _to_cyclo(self.z)
-        else:
-            up = tuple(_as_fraction(e) for e in self.upper)
-            lo = tuple(_as_fraction(e) for e in self.lower)
-            z = _as_fraction(self.z)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def is_cyclo(self) -> bool:
-        return _is_cyclo(self.z)
-
-
-def _scalar_is_zero(x) -> bool:
-    return x.is_zero if _is_cyclo(x) else x == 0
+        object.__setattr__(self, "upper", tuple(map(_param, self.upper)))
+        object.__setattr__(self, "lower", tuple(map(_param, self.lower)))
+        object.__setattr__(self, "z", _param(self.z))
 
 
 def pfq_exact(spec: PfqSpec) -> Param:
-    """The truncated sum as an exact Fraction (or CycloElem).
+    """The truncated sum as an exact Fraction, or a CycloElem once a Q(w)
+    factor enters a live term.
 
     This is the oracle route: no modular shortcut, no precision loss.
     """
-    one = _to_cyclo(1) if spec.is_cyclo else Fraction(1)
-    total = one
-    term = one
+    total = term = Fraction(1)
     for k in range(spec.n):
         dead = False
-        num = one
+        num = Fraction(1)
         for a in spec.upper:
             f = a + k
-            if _scalar_is_zero(f):
+            if f == 0:
                 dead = True
                 break
             num = num * f
         if dead:
             break
-        den = one * (k + 1)
+        den = Fraction(k + 1)
         for b in spec.lower:
             f = b + k
-            if _scalar_is_zero(f):
+            if f == 0:
                 raise PoleInRange(
                     f"lower parameter {b} vanishes at k={k} inside a live series"
                 )
@@ -128,15 +104,16 @@ def pfq_exact(spec: PfqSpec) -> Param:
 def pfq_mod(spec: PfqSpec, p: int, k: int) -> PadicCapped:
     """The truncated sum carried in capped p-adic arithmetic.
 
-    Rational parameters only.  Each factor embeds with k relative digits;
-    the valuation bookkeeping in PadicCapped then certifies exactly which
-    residue the sum is known to.  Callers wanting a class mod p^k ask the
-    result for .residue(k), which raises PrecisionExhausted if cancellation
-    ate too many digits.
+    Rational parameters only: any CycloElem entry is a TypeError, even at
+    n = 0.  Each factor embeds with k relative digits; the valuation
+    bookkeeping in PadicCapped then certifies exactly which residue the sum
+    is known to.  Callers wanting a class mod p^k ask the result for
+    .residue(k), which raises PrecisionExhausted if cancellation ate too
+    many digits.
     """
     check_odd_prime(p)
     _check_precision(k)
-    if spec.is_cyclo:
+    if any(isinstance(x, CycloElem) for x in (*spec.upper, *spec.lower, spec.z)):
         raise TypeError("modular evaluation is defined for rational parameters only")
 
     def emb(x) -> PadicCapped:
@@ -173,7 +150,8 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> PadicCapped:
 class GSParams:
     """Free parameters (a, b, d, n) of the terminating series identity.
 
-    The seven upper and six lower entries are all determined by these.
+    The seven upper and six lower entries are all determined by these; a,
+    b and d keep their kinds, as PfqSpec entries do.
     Construction refuses parameter choices that put a lower-side zero
     inside the terminating range 0 <= k < n, since the series is then
     undefined rather than merely zero.
@@ -187,14 +165,8 @@ class GSParams:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be a nonnegative integer")
-        entries = (self.a, self.b, self.d)
-        if any(_is_cyclo(e) for e in entries):
-            a, b, d = (_to_cyclo(e) for e in entries)
-        else:
-            a, b, d = (_as_fraction(e) for e in entries)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        for name in ("a", "b", "d"):
+            object.__setattr__(self, name, _param(getattr(self, name)))
         for param in self.lower:
             if _integer_in_window(param, self.n):
                 raise PoleInRange(
@@ -212,7 +184,7 @@ class GSParams:
             1 + a * Fraction(2, 3),
             1 - d * 2,
             a * 2 + d * 2 + n,
-            -Fraction(n) if not _is_cyclo(a) else _to_cyclo(-n),
+            Fraction(-n),
         )
 
     @property
@@ -234,12 +206,7 @@ class GSParams:
 
 def _integer_in_window(x: Param, n: int) -> bool:
     """True when x is a plain integer in {0, -1, ..., -(n-1)}."""
-    if _is_cyclo(x):
-        if x.c1 != 0:
-            return False
-        x = x.c0
-    x = _as_fraction(x)
-    return x.denominator == 1 and -(n - 1) <= x.numerator <= 0
+    return any(x == -j for j in range(n))
 
 
 def gs_lhs(g: GSParams) -> Param:
@@ -249,23 +216,21 @@ def gs_lhs(g: GSParams) -> Param:
 
 def gs_rhs(g: GSParams) -> Param:
     """Closed form: a four-over-four Pochhammer quotient, or 0 for odd n."""
-    one = _to_cyclo(1) if _is_cyclo(g.a) else Fraction(1)
     if g.n % 2:
-        return one - one
+        return (g.a + g.b + g.d) * 0  # zero of the parameters' kind
     r = g.n // 2
     a, b, d = g.a, g.b, g.d
     half = Fraction(1, 2)
     num = (
-        pochhammer(one * half, r)
+        pochhammer(half, r)
         * pochhammer(b + d, r)
         * pochhammer(d - b + a + half, r)
         * pochhammer(a + 1, r)
     )
-    den_factors = (b + half, a + d + half, d, a - b + 1)
-    den = one
-    for f in den_factors:
+    den = Fraction(1)
+    for f in (b + half, a + d + half, d, a - b + 1):
         pf = pochhammer(f, r)
-        if _scalar_is_zero(pf):
+        if pf == 0:
             raise PoleInRange(f"closed-form denominator ({f})_{r} vanishes")
         den = den * pf
     return num / den
@@ -291,8 +256,8 @@ def ff_point(p: int, alpha: Fraction) -> GSParams:
 
     No admissibility checks; ff1_build and the ff-3.3 checker make them.
     """
-    a = _to_cyclo(Fraction(1, 4))
-    b = _to_cyclo(Fraction(1, 2) + alpha)
+    a = CycloElem(Fraction(1, 4), 0)
+    b = CycloElem(Fraction(1, 2) + alpha, 0)
     d = (OMEGA.conjugate() * p + 1) * Fraction(1, 4)  # w^2 = -1 - w
     return GSParams(a, b, d, (p - 1) // 2)
 

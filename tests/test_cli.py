@@ -16,7 +16,7 @@ import supercon
 import supercon.cli as cli
 import supercon.congruences as congruences
 from supercon.cli import main
-from supercon.congruences import CongruenceReport
+from supercon.congruences import CongruenceReport, SweepConfig, sweep
 from supercon.errors import PrecisionExhausted
 
 
@@ -117,6 +117,51 @@ def test_pfq_failure_leaves_stdout_empty(capsys):
     )
     assert (code, out) == (2, "")
     assert "PrecisionExhausted" in err
+
+
+@pytest.fixture
+def default_int_str_cap():
+    """CPython's default 4300-digit int-to-str cap during the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreter has no cap
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_pfq_prints_past_4300_digits(default_int_str_cap, capsys):
+    argv = ["pfq", "--upper", "1,1", "--lower", "1", "--z", "1/10", "--n", "4400"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert len(out) > 4400
+
+
+# ff-3.1's exact value at p = 3301 runs past 4300 digits; zudilin-1.2 is a
+# second cell, so --jobs 2 really starts the pool.
+BIG_CELLS = ["--id", "ff-3.1,zudilin-1.2", "--primes", "3301", "--alpha", "1"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_prints_past_4300_digits(jobs, default_int_str_cap, capsys):
+    argv = ["verify", *BIG_CELLS, "--format", "json", "--jobs", jobs]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["id"], r["holds"]) for r in rows] == [
+        ("zudilin-1.2", True), ("ff-3.1", True)
+    ]
+    assert len(rows[1]["lhs"]) > 4300
+
+
+def test_pool_workers_print_past_4300_digits(default_int_str_cap):
+    # called without cli.main, so only the pool initializer lifts the cap
+    ids = ("ff-3.1", "zudilin-1.2")
+    reports = sweep(SweepConfig(ids=ids, primes=(3301,), alphas=(1,), jobs=2))
+    assert [(r.id, r.holds, r.params) for r in reports] == [
+        ("zudilin-1.2", True, {}), ("ff-3.1", True, {"alpha": "1"})
+    ]
 
 
 def test_pfq_needs_both_p_and_k(capsys):
@@ -313,6 +358,26 @@ def test_verify_checker_error_exits_three(monkeypatch, capsys):
     )
     code, _, _ = run(argv, capsys)
     assert code == 1  # a genuine violation outranks the error row
+
+
+def test_verify_unexpected_exception_is_an_error_row(monkeypatch, capsys):
+    real = congruences.verify_zudilin
+
+    def broken(p):
+        if p == 5:
+            raise ZeroDivisionError("forced for the test")
+        return real(p)
+
+    monkeypatch.setattr(congruences, "verify_zudilin", broken)
+    argv = ["verify", "--id", "zudilin-1.2", "--primes", "5,7", "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 3
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert first["params"] == {"error": "ZeroDivisionError"}
+    assert (first["lhs"], first["rhs"], first["holds"]) == (
+        "error", "forced for the test", False
+    )
+    assert (second["p"], second["holds"]) == (7, True)
 
 
 def test_usage_errors_exit_two(capsys):

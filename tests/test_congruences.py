@@ -9,7 +9,14 @@ from random import Random
 import pytest
 
 import supercon.congruences as congruences
-from supercon.arith import OMEGA, PadicCapped, cyclo_reduce, primes_in, reduce_mod
+from supercon.arith import (
+    OMEGA,
+    CycloElem,
+    PadicCapped,
+    cyclo_reduce,
+    primes_in,
+    reduce_mod,
+)
 from supercon.congruences import (
     CATALOG,
     SweepConfig,
@@ -36,7 +43,7 @@ from supercon.errors import (
 )
 from supercon.eta import eta_product_qexp
 from supercon.gamma import gamma_p
-from supercon.hyper import _to_cyclo, pochhammer
+from supercon.hyper import pochhammer
 
 F = Fraction
 
@@ -164,16 +171,16 @@ def hand_built_quotient(p, alpha):
     r = (p - 1) // 4
     w2p = OMEGA.conjugate() * p
     num = (
-        pochhammer(_to_cyclo(_HALF), r)
-        * pochhammer(_to_cyclo(Fraction(5, 4)), r)
-        * pochhammer((_to_cyclo(4 * alpha + 3) + w2p) * _QUARTER, r)
-        * pochhammer((_to_cyclo(2 - 4 * alpha) + w2p) * _QUARTER, r)
+        pochhammer(_HALF, r)
+        * pochhammer(Fraction(5, 4), r)
+        * pochhammer((4 * alpha + 3 + w2p) * _QUARTER, r)
+        * pochhammer((2 - 4 * alpha + w2p) * _QUARTER, r)
     )
     den = (
-        pochhammer((_to_cyclo(1) + w2p) * _QUARTER, r)
-        * pochhammer((_to_cyclo(4) + w2p) * _QUARTER, r)
-        * pochhammer(_to_cyclo(1 + alpha), r)
-        * pochhammer(_to_cyclo(Fraction(3, 4) - alpha), r)
+        pochhammer((1 + w2p) * _QUARTER, r)
+        * pochhammer((4 + w2p) * _QUARTER, r)
+        * pochhammer(1 + alpha, r)
+        * pochhammer(Fraction(3, 4) - alpha, r)
     )
     return num / den
 
@@ -203,11 +210,11 @@ def test_ff3_matches_hand_built_quotient():
 
 def exact_triple_loop(p, u, v, kmax):
     """ff-3.2's former loop: the exact triple product, reduced at every k."""
-    factors = tuple(_to_cyclo(u) + (OMEGA**j) * (v * p) for j in range(3))
-    triple = _to_cyclo(1)
+    factors = tuple(u + (OMEGA**j) * (v * p) for j in range(3))
+    triple = CycloElem(1, 0)
     plain = Fraction(1)
     lhs_k = cyclo_reduce(triple, p, 3)
-    rhs_k = cyclo_reduce(_to_cyclo(plain**3), p, 3)
+    rhs_k = cyclo_reduce(CycloElem(plain**3, 0), p, 3)
     ok = lhs_k == rhs_k
     for k in range(1, kmax + 1):
         j = k - 1
@@ -215,7 +222,7 @@ def exact_triple_loop(p, u, v, kmax):
             triple = triple * (f + j)
         plain = plain * (u + j)
         lhs_k = cyclo_reduce(triple, p, 3)
-        rhs_k = cyclo_reduce(_to_cyclo(plain**3), p, 3)
+        rhs_k = cyclo_reduce(CycloElem(plain**3, 0), p, 3)
         ok &= lhs_k == rhs_k
     return ok, str(lhs_k), str(rhs_k)
 
@@ -321,7 +328,8 @@ class TestSweep:
         pools = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
+                assert initializer is congruences._unlimited_int_str
                 pools.append(max_workers)
 
             def __enter__(self):

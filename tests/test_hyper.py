@@ -102,19 +102,140 @@ def test_pfq_mod_equals_reduced_exact_on_random_specs():
 
 
 def test_pfq_mod_rejects_cyclo_flavor():
-    spec = PfqSpec((OMEGA, F(1, 2)), (F(1),), 1, 3)
-    assert spec.is_cyclo
-    with pytest.raises(TypeError):
-        pfq_mod(spec, 5, 2)
+    on_axis = CycloElem(F(1, 2), 0)  # rational in value, Q(w) in kind
+    for n in (0, 3):
+        for spec in (
+            PfqSpec((OMEGA, F(1, 2)), (F(1),), 1, n),
+            PfqSpec((F(1, 2),), (on_axis,), 1, n),
+            PfqSpec((F(1, 2),), (F(1),), on_axis, n),
+        ):
+            with pytest.raises(TypeError):
+                pfq_mod(spec, 5, 2)
 
 
 def test_pfq_spec_promotes_flavor():
-    spec = PfqSpec((OMEGA, F(1, 2)), (1,), F(1, 3), 2)
-    assert all(isinstance(u, CycloElem) for u in spec.upper)
-    assert isinstance(spec.z, CycloElem)
-    plain = PfqSpec((F(1, 2), 3), (1,), 1, 2)
-    assert not plain.is_cyclo
-    assert all(isinstance(u, F) for u in plain.upper)
+    # ints become Fractions; Fractions and CycloElems keep their kinds
+    spec = PfqSpec((OMEGA, F(1, 2), 3), (1,), F(1, 3), 2)
+    assert spec.upper == (OMEGA, F(1, 2), F(3))
+    assert [type(u) for u in spec.upper] == [CycloElem, F, F]
+    assert type(spec.lower[0]) is F and type(spec.z) is F
+    assert type(PfqSpec((), (), OMEGA, 0).z) is CycloElem
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            PfqSpec((bad,), (), 1, 1)
+        with pytest.raises(TypeError):
+            GSParams(F(1, 4), F(1, 2), bad, 2)
+
+
+def _cyclo(x):
+    return x if isinstance(x, CycloElem) else CycloElem(x, 0)
+
+
+def promoted_pfq_exact(spec):
+    """Reference: the former Q(w) route, every entry promoted to CycloElem."""
+    upper = [_cyclo(a) for a in spec.upper]
+    lower = [_cyclo(b) for b in spec.lower]
+    z = _cyclo(spec.z)
+    one = CycloElem(1, 0)
+    total = term = one
+    for k in range(spec.n):
+        num = one
+        for a in upper:
+            f = a + k
+            if (f.c0, f.c1) == (0, 0):
+                return total
+            num = num * f
+        den = one * (k + 1)
+        for b in lower:
+            f = b + k
+            if (f.c0, f.c1) == (0, 0):
+                raise PoleInRange(f"{b} at k={k}")
+            den = den * f
+        term = term * num / den * z
+        total = total + term
+    return total
+
+
+def promoted_gs_rhs(g):
+    """Reference: the former Q(w) closed form, every entry promoted."""
+    one = CycloElem(1, 0)
+    if g.n % 2:
+        return one - one
+    r = g.n // 2
+    a, b, d = _cyclo(g.a), _cyclo(g.b), _cyclo(g.d)
+    half = F(1, 2)
+
+    def poch(x):
+        out = one
+        for j in range(r):
+            out = out * (x + j)
+        return out
+
+    num = poch(one * half) * poch(b + d) * poch(d - b + a + half) * poch(a + 1)
+    den = one
+    for f in (b + half, a + d + half, d, a - b + 1):
+        pf = poch(f)
+        if (pf.c0, pf.c1) == (0, 0):
+            raise PoleInRange(f"({f})_{r}")
+        den = den * pf
+    return num / den
+
+
+def _mixed_entry(rng):
+    """A small rational as an int, a Fraction, or a CycloElem (maybe off-axis)."""
+    c = F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4]))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return c.numerator if c.denominator == 1 else c
+    if kind == 1:
+        return c
+    return CycloElem(c, 0 if kind == 2 else F(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def _same_outcome(fn, ref, arg):
+    """fn(arg) equals ref(arg), or both raise PoleInRange; True if a value."""
+    try:
+        expected = ref(arg)
+    except PoleInRange:
+        with pytest.raises(PoleInRange):
+            fn(arg)
+        return False
+    got = fn(arg)
+    assert got == expected and expected == got, arg
+    if isinstance(got, CycloElem) or isinstance(expected, CycloElem):
+        assert _cyclo(got) == _cyclo(expected)
+    return True
+
+
+def test_mixed_kinds_match_promoting_every_entry():
+    rng = Random(2024)
+    values = cyclo_results = 0
+    for _ in range(300):
+        spec = PfqSpec(
+            tuple(_mixed_entry(rng) for _ in range(rng.randint(1, 4))),
+            tuple(_mixed_entry(rng) for _ in range(rng.randint(0, 3))),
+            _mixed_entry(rng),
+            rng.randint(0, 7),
+        )
+        if _same_outcome(pfq_exact, promoted_pfq_exact, spec):
+            values += 1
+            cyclo_results += isinstance(pfq_exact(spec), CycloElem)
+    assert values > 200 and cyclo_results > 100
+
+
+def test_mixed_kind_identity_matches_promoting_every_entry():
+    rng = Random(4048)
+    checked = 0
+    for _ in range(200):
+        entries = [_mixed_entry(rng) for _ in range(3)]
+        try:
+            g = GSParams(*entries, rng.randint(0, 8))
+        except PoleInRange:
+            continue
+        if _same_outcome(gs_rhs, promoted_gs_rhs, g):
+            assert gs_lhs(g) == promoted_pfq_exact(g.series()) == gs_rhs(g)
+            checked += 1
+    assert checked > 100
 
 
 class TestGSIdentity:
@@ -199,6 +320,7 @@ class TestFF1Build:
 
     def test_point(self):
         g = ff_point(13, F(2))
+        assert all(isinstance(x, CycloElem) for x in (g.a, g.b, g.d))
         assert (g.a, g.b, g.n) == (CycloElem(F(1, 4), F(0)), CycloElem(F(5, 2), F(0)), 6)
         assert g.d == (OMEGA.conjugate() * 13 + 1) * F(1, 4)
         assert g.d == CycloElem(F(-3), F(-13, 4))
@@ -207,6 +329,7 @@ class TestFF1Build:
     def test_three_mod_four_gives_zero(self):
         lhs, rhs = ff1_build(7, F(1))
         assert rhs == CycloElem(F(0), F(0))
+        assert str(rhs) == "0 + 0*w"  # odd n: a Q(w) zero, not a rational one
         assert lhs == rhs
 
     def test_rational_alpha(self):
