@@ -5,7 +5,8 @@ works over the four scalar kinds defined here:
 
   * exact rationals      -- fractions.Fraction, used as-is
   * PrimePowerResidue    -- an element of Z/p^k for an odd prime p, 1 <= k <= 6
-  * PadicCapped          -- p^v * unit with a tracked relative precision
+  * PadicCapped          -- p^v * unit with a tracked relative precision;
+                            the format behind hyper.pfq_mod, not exported
   * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0 and exact rational
                             coordinates; cyclo_reduce gives its class mod p^k
                             as the representative with coordinates in [0, p^k)
@@ -229,10 +230,11 @@ def least_residue(x: RationalLike, p: int) -> int:
 class PadicCapped:
     """A p-adic number known to finitely many digits: p^valuation * unit.
 
-    ``unit`` holds ``precision`` base-p digits (so the value is pinned down
-    modulo p^(valuation + precision)).  The additive identity is a
-    distinguished exact zero with no valuation; full cancellation in ``+``
-    lands there rather than inventing digits nobody computed.
+    ``unit`` holds ``precision`` base-p digits, so the value is pinned down
+    modulo p^abs_precision = p^(valuation + precision).  Precision 0 means
+    no digit is known and the value lies somewhere in p^valuation Z_p; that
+    is the zero a sum lands on when it cancels through every digit in hand.
+    The exact zero is the case valuation = INFINITY, as vp(0) has it.
 
     Multiplication adds valuations and keeps the smaller relative precision.
     Addition works at the smaller absolute precision.  ``residue(k)`` raises
@@ -243,28 +245,22 @@ class PadicCapped:
     valuation: int
     unit: int
     precision: int
-    exact_zero: bool = False
 
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0:
             raise ValueError(f"base must be an odd prime, got {self.p}")
-        if self.exact_zero:
-            object.__setattr__(self, "valuation", 0)
-            object.__setattr__(self, "unit", 0)
-            object.__setattr__(self, "precision", 0)
-            return
-        _check_precision(self.precision)
+        if not 0 <= self.precision <= MAX_PRECISION:
+            raise PrecisionOutOfRange(
+                f"relative precision must be in 0..{MAX_PRECISION}, "
+                f"got {self.precision!r}"
+            )
         u = self.unit % self.p**self.precision
-        if u % self.p == 0:
+        if self.precision and u % self.p == 0:
             raise ValueError(
                 f"unit part {self.unit} is divisible by {self.p}; "
                 "normalize the valuation instead"
             )
         object.__setattr__(self, "unit", u)
-
-    @classmethod
-    def zero(cls, p: int) -> "PadicCapped":
-        return cls(p, 0, 0, 0, exact_zero=True)
 
     @classmethod
     def from_rational(cls, x: RationalLike, p: int, precision: int) -> "PadicCapped":
@@ -277,7 +273,7 @@ class PadicCapped:
         _check_precision(precision)
         x = _as_fraction(x)
         if x == 0:
-            return cls.zero(p)
+            return cls(p, INFINITY, 0, 0)
         v = vp(x, p)
         u = x / Fraction(p) ** v
         m = p**precision
@@ -287,8 +283,6 @@ class PadicCapped:
     @property
     def abs_precision(self):
         """Exponent N such that the value is known mod p^N (INFINITY for zero)."""
-        if self.exact_zero:
-            return INFINITY
         return self.valuation + self.precision
 
     def _require_same_p(self, other: "PadicCapped"):
@@ -299,8 +293,6 @@ class PadicCapped:
 
     def __mul__(self, other: "PadicCapped") -> "PadicCapped":
         self._require_same_p(other)
-        if self.exact_zero or other.exact_zero:
-            return PadicCapped.zero(self.p)
         r = min(self.precision, other.precision)
         return PadicCapped(
             self.p, self.valuation + other.valuation, self.unit * other.unit, r
@@ -308,58 +300,37 @@ class PadicCapped:
 
     def __truediv__(self, other: "PadicCapped") -> "PadicCapped":
         self._require_same_p(other)
-        if other.exact_zero:
-            raise ZeroDivisionError("division by exact p-adic zero")
-        if self.exact_zero:
-            return PadicCapped.zero(self.p)
+        if other.precision == 0:
+            raise ZeroDivisionError("division by a p-adic zero")
         r = min(self.precision, other.precision)
         inv = pow(other.unit, -1, self.p**r)
         return PadicCapped(
             self.p, self.valuation - other.valuation, self.unit * inv, r
         )
 
-    def __neg__(self) -> "PadicCapped":
-        if self.exact_zero:
-            return self
-        return PadicCapped(self.p, self.valuation, -self.unit, self.precision)
-
     def __add__(self, other: "PadicCapped") -> "PadicCapped":
         self._require_same_p(other)
-        if self.exact_zero:
-            return other
-        if other.exact_zero:
-            return self
+        p = self.p
         n = min(self.abs_precision, other.abs_precision)
         v = min(self.valuation, other.valuation)
-        if n - v < 1:
-            raise PrecisionExhausted(
-                "sum has no justified digits: absolute precision "
-                f"{n} at valuation {v}"
-            )
-        m = self.p ** (n - v)
-        total = (
-            self.unit * self.p ** (self.valuation - v)
-            + other.unit * other.p ** (other.valuation - v)
-        ) % m
-        if total == 0:
-            # Cancellation through every digit in hand.  The true value is
-            # in p^n Z_p; report exact zero rather than a unit we never saw.
-            return PadicCapped.zero(self.p)
-        shift = 0
-        while total % self.p == 0:
-            total //= self.p
-            shift += 1
-        r = n - v - shift
-        return PadicCapped(self.p, v + shift, total, min(r, MAX_PRECISION))
-
-    def __sub__(self, other: "PadicCapped") -> "PadicCapped":
-        return self + (-other)
+        if v < n:
+            total = 0
+            for x in (self, other):
+                if x.valuation < n:  # else x is 0 mod p^n, the exact zero too
+                    total += x.unit * p ** (x.valuation - v)
+            total %= p ** (n - v)
+            if total:
+                while total % p == 0:
+                    total //= p
+                    v += 1
+                return PadicCapped(p, v, total, n - v)
+        # Cancellation through every digit in hand, or no digit to begin
+        # with: the sum lies in p^n Z_p and nothing more is known.
+        return PadicCapped(p, n, 0, 0)
 
     def residue(self, k: int) -> PrimePowerResidue:
         """The class mod p^k, if the digits in hand pin it down."""
         _check_precision(k)
-        if self.exact_zero:
-            return PrimePowerResidue(self.p, k, 0)
         if self.valuation >= k:
             return PrimePowerResidue(self.p, k, 0)
         if self.valuation < 0:
@@ -372,14 +343,6 @@ class PadicCapped:
                 f"residue mod {self.p}^{k} requested"
             )
         return PrimePowerResidue(self.p, k, self.p**self.valuation * self.unit)
-
-    def __str__(self) -> str:
-        if self.exact_zero:
-            return "0 (exact)"
-        return (
-            f"{self.p}^{self.valuation} * {self.unit} "
-            f"(+O({self.p}^{self.abs_precision}))"
-        )
 
 
 @dataclass(frozen=True)

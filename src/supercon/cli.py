@@ -20,11 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import is_prime, primes_in, reduce_mod
-from .congruences import CATALOG, SweepConfig, _unlimited_int_str, sweep
+from .congruences import CATALOG, SweepConfig, _series_class, _unlimited_int_str, sweep
 from .errors import OracleMismatch, SuperconError
 from .eta import eta_product_qexp, expansion_updates
 from .gamma import gamma_p
-from .hyper import GSParams, PfqSpec, gs_lhs, gs_rhs, pfq_exact, pfq_mod
+from .hyper import GSParams, PfqSpec, gs_lhs, gs_rhs, pfq_exact
 
 #: Default --max-work ceiling: terms for pfq and identity, coefficient
 #: updates for eta.
@@ -156,9 +156,10 @@ def cmd_pfq(args) -> int:
     )
     if _refuse_terms(args):
         return 2
-    text = f"{pfq_exact(spec)}\n"
+    exact = pfq_exact(spec)
+    text = f"{exact}\n"
     if args.p is not None:
-        residue = pfq_mod(spec, args.p, args.k).residue(args.k)
+        residue = _series_class(spec, args.p, args.k, exact)
         text += f"{residue.value} (mod {residue.modulus})\n"
     sys.stdout.write(text)
     return 0

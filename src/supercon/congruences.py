@@ -107,16 +107,19 @@ def _require_p5(p: int) -> int:
     return p
 
 
-def _series_class(spec: PfqSpec, p: int, k: int) -> PrimePowerResidue:
+def _series_class(
+    spec: PfqSpec, p: int, k: int, exact: Fraction | None = None
+) -> PrimePowerResidue:
     """Left-side evaluator used by every residue check, dual-route.
 
     The capped-p-adic route is the answer; the exact rational route is the
-    oracle.  Disagreement is an implementation bug by definition and raises
+    oracle, evaluated here unless the caller already holds pfq_exact(spec).
+    Disagreement is an implementation bug by definition and raises
     OracleMismatch rather than poisoning a report.
     """
     global oracle_comparisons
-    fast = pfq_mod(spec, p, k).residue(k)
-    exact = reduce_mod(pfq_exact(spec), p, k)
+    fast = pfq_mod(spec, p, k)
+    exact = reduce_mod(pfq_exact(spec) if exact is None else exact, p, k)
     if fast != exact:
         raise OracleMismatch(
             f"modular evaluator gave {fast.value}, exact oracle {exact.value} "
@@ -313,9 +316,9 @@ def verify_gs(samples: int = 100, seed: int = 0) -> CongruenceReport:
         ok &= gs_lhs(g) == gs_rhs(g)
     done = 0
     while done < samples:
-        a = _small_rational(rng)
-        b = _small_rational(rng)
-        d = _small_rational(rng)
+        a = _draw_rational(rng)
+        b = _draw_rational(rng)
+        d = _draw_rational(rng)
         n = rng.randint(0, 10)
         try:
             g = GSParams(a, b, d, n)
@@ -326,10 +329,6 @@ def verify_gs(samples: int = 100, seed: int = 0) -> CongruenceReport:
         done += 1
     params = {"samples": str(samples), "seed": str(seed)}
     return _report("gs-2.6", 0, params, 0, pinned_lhs, pinned_rhs, t0, ok)
-
-
-def _small_rational(rng: Random, span: int = 12) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
 def verify_ff1(p: int, alpha) -> CongruenceReport:
@@ -564,18 +563,20 @@ def _ff2_draws(cid: str, p: int, cfg: "SweepConfig") -> list[CongruenceReport]:
     out = []
     kmax = (p - 1) // 2
     for _ in range(cfg.pairs):
-        u = _unit_denominator_rational(rng, p)
-        v = _unit_denominator_rational(rng, p)
+        u = _draw_rational(rng, p)
+        v = _draw_rational(rng, p)
         params = {"u": str(u), "v": str(v)}
         out.append(_guarded(lambda u=u, v=v: verify_ff2(p, u, v, kmax), cid, p, params))
     return out
 
 
-def _unit_denominator_rational(rng: Random, p: int, span: int = 12) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, span)
-    while den % p == 0:
-        den = rng.randint(1, span)
+def _draw_rational(rng: Random, p: int | None = None) -> Fraction:
+    """num/den with |num| <= 12 and 1 <= den <= 12; given p, a p-divisible
+    denominator is drawn again."""
+    num = rng.randint(-12, 12)
+    den = rng.randint(1, 12)
+    while p is not None and den % p == 0:
+        den = rng.randint(1, 12)
     return Fraction(num, den)
 
 

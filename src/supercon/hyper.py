@@ -23,6 +23,7 @@ from .arith import (
     CycloElem,
     OMEGA,
     PadicCapped,
+    PrimePowerResidue,
     check_odd_prime,
     least_residue,
     _as_fraction,
@@ -101,15 +102,14 @@ def pfq_exact(spec: PfqSpec) -> Param:
     return total
 
 
-def pfq_mod(spec: PfqSpec, p: int, k: int) -> PadicCapped:
-    """The truncated sum carried in capped p-adic arithmetic.
+def pfq_mod(spec: PfqSpec, p: int, k: int) -> PrimePowerResidue:
+    """The truncated sum's class mod p^k, carried in capped p-adic arithmetic.
 
     Rational parameters only: any CycloElem entry is a TypeError, even at
     n = 0.  Each factor embeds with k relative digits; the valuation
     bookkeeping in PadicCapped then certifies exactly which residue the sum
-    is known to.  Callers wanting a class mod p^k ask the result for
-    .residue(k), which raises PrecisionExhausted if cancellation ate too
-    many digits.
+    is known to, and PrecisionExhausted is raised when cancellation ate too
+    many digits or the sum is not a p-adic integer.
     """
     check_odd_prime(p)
     _check_precision(k)
@@ -143,7 +143,7 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> PadicCapped:
             den = den * emb(f)
         term = term * num / den * z
         total = total + term
-    return total
+    return total.residue(k)
 
 
 @dataclass(frozen=True)

@@ -151,13 +151,39 @@ class TestPadicCapped:
         assert x.residue(3) == reduce_mod(F(50, 3), 5, 3)
 
     def test_zero_is_exact(self):
-        z = PadicCapped.zero(5)
-        assert z.exact_zero
-        assert z.residue(3).value == 0
+        z = PadicCapped.from_rational(0, 5, 3)
+        assert z.valuation == z.abs_precision == INFINITY
+        assert z.residue(MAX_PRECISION).value == 0
 
-    def test_full_cancellation_reports_exact_zero(self):
-        x = PadicCapped.from_rational(F(7, 2), 5, 3)
-        assert (x - x).exact_zero
+    def test_full_cancellation_keeps_its_precision(self):
+        # 7/2 - 7/2 cancels exactly; 1 + 124 = 5^3 only through the digits
+        # in hand, and its digits at 5^3 and beyond were never computed.
+        for a, b in ((F(7, 2), F(-7, 2)), (1, 124)):
+            xa, xb = (PadicCapped.from_rational(x, 5, 3) for x in (a, b))
+            zero = xa + xb
+            assert (zero.valuation, zero.precision, zero.abs_precision) == (3, 0, 3)
+            assert zero.residue(3).value == 0
+            with pytest.raises(PrecisionExhausted):
+                zero.residue(4)
+            # a later summand known mod 5^4 cannot restore the lost digit
+            assert (zero + PadicCapped.from_rational(15, 5, 3)).abs_precision == 3
+
+    def test_zero_times_or_over_a_unit_keeps_finite_precision(self):
+        one = PadicCapped.from_rational(1, 5, 2)
+        zero = one + PadicCapped.from_rational(-1, 5, 2)
+        y = PadicCapped.from_rational(F(25, 3), 5, 3)
+        assert ((zero * y).valuation, (zero * y).precision) == (4, 0)
+        assert ((zero / y).valuation, (zero / y).precision) == (0, 0)
+        assert (zero * y).residue(4).value == 0
+        with pytest.raises(PrecisionExhausted):
+            (zero / y).residue(1)
+
+    def test_division_by_any_zero_raises(self):
+        one = PadicCapped.from_rational(1, 7, 3)
+        cancelled = one + PadicCapped.from_rational(-1, 7, 3)
+        for zero in (PadicCapped.from_rational(0, 7, 3), cancelled):
+            with pytest.raises(ZeroDivisionError):
+                one / zero
 
     def test_addition_matches_rationals(self):
         rng = Random(404)
@@ -168,7 +194,7 @@ class TestPadicCapped:
             xa = PadicCapped.from_rational(a, p, 4)
             xb = PadicCapped.from_rational(b, p, 4)
             total = xa + xb
-            if vp(a + b, p) >= 0 and not total.exact_zero:
+            if vp(a + b, p) >= 0:
                 k = min(3, total.abs_precision)
                 if k >= 1:
                     assert total.residue(k) == reduce_mod(a + b, p, k)

@@ -119,6 +119,32 @@ def test_pfq_failure_leaves_stdout_empty(capsys):
     assert "PrecisionExhausted" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 205835/374 is 15 mod 25, but the sum cancels through its last digit
+        ["--upper", "1", "--lower", "2/3", "--z", "6", "--n", "6", "--p", "5", "--k", "2"],
+        # 13/21 has a 3 in its denominator
+        ["--upper=-2", "--lower=-9/2", "--z=-1", "--n", "12", "--p", "3", "--k", "1"],
+    ],
+)
+def test_pfq_refuses_a_residue_it_cannot_certify(argv, capsys):
+    code, out, err = run(["pfq", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert "PrecisionExhausted" in err
+
+
+def test_pfq_residue_is_checked_against_the_exact_route(monkeypatch, capsys):
+    def wrong_pfq_mod(spec, p, k):
+        return congruences.reduce_mod(congruences.pfq_exact(spec), p, k) + 1
+
+    monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
+    argv = ["pfq", "--upper", "1/2", "--lower", "1", "--n", "3", "--p", "5", "--k", "2"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "internal error" in err
+
+
 @pytest.fixture
 def default_int_str_cap():
     """CPython's default 4300-digit int-to-str cap during the test."""

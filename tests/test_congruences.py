@@ -12,7 +12,6 @@ import supercon.congruences as congruences
 from supercon.arith import (
     OMEGA,
     CycloElem,
-    PadicCapped,
     cyclo_reduce,
     primes_in,
     reduce_mod,
@@ -43,7 +42,7 @@ from supercon.errors import (
 )
 from supercon.eta import eta_product_qexp
 from supercon.gamma import gamma_p
-from supercon.hyper import pochhammer
+from supercon.hyper import pfq_exact, pochhammer
 
 F = Fraction
 
@@ -266,7 +265,7 @@ def test_oracle_mismatch_is_raised(monkeypatch):
     """A broken fast path must abort loudly, not mark the report failed."""
 
     def wrong_pfq_mod(spec, p, k):
-        return PadicCapped.from_rational(F(1), p, k)
+        return reduce_mod(pfq_exact(spec), p, k) + 1
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):
@@ -275,7 +274,7 @@ def test_oracle_mismatch_is_raised(monkeypatch):
 
 def test_oracle_mismatch_escapes_sweep(monkeypatch):
     def wrong_pfq_mod(spec, p, k):
-        return PadicCapped.from_rational(F(1), p, k)
+        return reduce_mod(pfq_exact(spec), p, k) + 1
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from supercon.arith import OMEGA, CycloElem, reduce_mod
+from supercon.arith import OMEGA, CycloElem, reduce_mod, vp
 from supercon.errors import (
     AlphaOutOfRange,
     NonUnitDenominator,
@@ -80,7 +80,8 @@ def test_pfq_pole_in_live_range_raises():
 
 
 def test_pfq_mod_equals_reduced_exact_on_random_specs():
-    """The two evaluation routes agree whenever the reduction is legal."""
+    """The two evaluation routes agree whenever the reduction is legal, and
+    the capped route refuses a sum that is not a p-adic integer."""
     rng = Random(31337)
     p, k = 7, 3
     agreed = 0
@@ -93,12 +94,51 @@ def test_pfq_mod_equals_reduced_exact_on_random_specs():
         z = F(rng.randint(-4, 4), rng.choice(denoms))
         spec = PfqSpec(upper, lower, z, rng.randint(0, 8))
         try:
-            exact = reduce_mod(pfq_exact(spec), p, k)
-            fast = pfq_mod(spec, p, k).residue(k)
-        except (PoleInRange, NonUnitDenominator, PrecisionExhausted):
+            exact = pfq_exact(spec)
+        except PoleInRange:
             continue
-        assert fast == exact, spec
+        if vp(exact, p) < 0:
+            with pytest.raises(PrecisionExhausted):
+                pfq_mod(spec, p, k)
+            continue
+        try:
+            fast = pfq_mod(spec, p, k)
+        except PrecisionExhausted:
+            continue
+        assert fast == reduce_mod(exact, p, k), spec
         agreed += 1
+
+
+def test_pfq_mod_never_certifies_a_wrong_residue():
+    """Differential sweep of the capped route against the exact one.
+
+    pfq_mod may refuse (PrecisionExhausted), but any class it returns is the
+    exact sum's, and it always refuses a sum that is not a p-adic integer.
+    Small primes and small k make cancellation past the known digits common.
+    """
+    rng = Random(1)
+
+    def draw(num, den):
+        return F(rng.randint(-num, num), rng.randint(1, den))
+
+    for _ in range(5000):
+        p = rng.choice((3, 5, 7))
+        k = rng.randint(1, 4)
+        upper = tuple(draw(12, 6) for _ in range(rng.randint(1, 3)))
+        lower = tuple(draw(12, 6) for _ in range(rng.randint(0, 2)))
+        spec = PfqSpec(upper, lower, draw(9, 4), rng.randint(0, 12))
+        try:
+            exact = pfq_exact(spec)
+        except PoleInRange:
+            with pytest.raises(PoleInRange):
+                pfq_mod(spec, p, k)
+            continue
+        try:
+            fast = pfq_mod(spec, p, k)
+        except PrecisionExhausted:
+            continue
+        assert vp(exact, p) >= 0, (spec, p, k)
+        assert fast == reduce_mod(exact, p, k), (spec, p, k)
 
 
 def test_pfq_mod_rejects_cyclo_flavor():
