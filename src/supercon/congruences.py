@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 from .arith import (
@@ -39,7 +40,7 @@ from .errors import (
     OracleMismatch,
     PoleInRange,
 )
-from .eta import QSeries, a_p, eta_product_qexp
+from .eta import a_p, eta_product_qexp
 from .gamma import GammaBatch, gamma_p, residue_rep
 from .hyper import (
     GSParams,
@@ -132,16 +133,28 @@ def _series_class(
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
+#: The randomized ids' least counts, as (SweepConfig field, minimum).  Their
+#: checkers and SweepConfig.normalized() both read them from here.
+_MIN_COUNTS = {
+    "gs-2.6": ("samples", 1),
+    "ff-3.2": ("pairs", 1),
+    "gamma-laws": ("samples", 3),
+}
 
-def verify_kilbourn(p: int, qexp: QSeries | None = None) -> CongruenceReport:
+
+def _check_count(cid: str, n: int) -> None:
+    field, least = _MIN_COUNTS[cid]
+    if n < least:
+        raise ValueError(f"{cid} needs {field} >= {least}, got {n}")
+
+
+def verify_kilbourn(p: int) -> CongruenceReport:
     """Central fourth-power series against the eta-product coefficient."""
     t0 = time.perf_counter()
     check_odd_prime(p)
-    if qexp is None:
-        qexp = eta_product_qexp(p)
     spec = PfqSpec((_HALF,) * 4, (1, 1, 1), 1, (p - 1) // 2)
     lhs = _series_class(spec, p, 3)
-    rhs = reduce_mod(a_p(p, qexp), p, 3)
+    rhs = reduce_mod(a_p(p, eta_product_qexp(p)), p, 3)
     return _report("kilbourn-1.1", p, {}, 3, lhs, rhs, t0)
 
 
@@ -302,8 +315,7 @@ def verify_gs(samples: int = 100, seed: int = 0) -> CongruenceReport:
     sides 0).  Prime-independent, so the report carries p = 0.
     """
     t0 = time.perf_counter()
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _check_count("gs-2.6", samples)
     rng = Random(seed)
     ok = True
     pinned = GSParams(_QUARTER, _HALF, _QUARTER, 2)
@@ -387,26 +399,18 @@ def verify_ff3(p: int, alpha) -> CongruenceReport:
         raise ValueError(f"this identity needs p = 1 (mod 4), got {p}")
     alpha = Fraction(alpha)
     alpha_window_residue(alpha, p)
-    r = (p - 1) // 4
-    for j in range(r):
-        for factor in (
-            alpha + Fraction(3, 4) + j,
-            _HALF - alpha + j,
-            1 + alpha + j,
-            Fraction(3, 4) - alpha + j,
-        ):
-            if least_residue(factor, p) == 0:
-                raise HypothesisViolated(
-                    f"Pochhammer factor {factor} vanishes mod {p}"
-                )
+    # (x)_r, r = (p - 1)/4, has a factor x + j divisible by p exactly when
+    # j = -x mod p < r; name the first such factor, smallest j first
+    xs = (alpha + Fraction(3, 4), _HALF - alpha, 1 + alpha, Fraction(3, 4) - alpha)
+    j, i = min((least_residue(-x, p), i) for i, x in enumerate(xs))
+    if j < (p - 1) // 4:
+        raise HypothesisViolated(f"Pochhammer factor {xs[i] + j} vanishes mod {p}")
     lhs = cyclo_reduce(gs_rhs(ff_point(p, alpha)), p, 3)
     rhs = CycloElem(_main_rhs(p, alpha).value, 0)
     return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
-def verify_gamma_laws(
-    p: int, samples: int = 100, seed: int = 0, diff_samples: int = 20
-) -> CongruenceReport:
+def verify_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceReport:
     """Property suite for the gamma implementation at precision 3.
 
     Covers the two constants, reflection, the shift quotient (unit and
@@ -416,38 +420,30 @@ def verify_gamma_laws(
     """
     t0 = time.perf_counter()
     _require_p5(p)
-    if samples < 3 or diff_samples < 1:
-        raise ValueError("sample counts too small to cover the laws")
+    _check_count("gamma-laws", samples)
     rng = Random(seed * 1_000_003 + p)
     k = 3
-    pk = p**k
-
-    def rand_padic() -> Fraction:
-        num = rng.randint(-pk, pk)
-        den = rng.randint(1, 48)
-        while den % p == 0:
-            den = rng.randint(1, 48)
-        return Fraction(num, den)
+    draw = partial(_draw_rational, rng, p, p**k, 48)
 
     def rand_unit() -> Fraction:
-        x = rand_padic()
+        x = draw()
         while least_residue(x, p) == 0:
-            x = rand_padic()
+            x = draw()
         return x
 
     n_refl = samples - 2 * (samples // 3)
     n_shift = samples // 3
     n_poch = samples // 3
-    refl = [rand_padic() for _ in range(n_refl)]
+    refl = [draw() for _ in range(n_refl)]
     shift = [rand_unit() for _ in range(n_shift - n_shift // 2)]
     shift += [p * rand_unit() for _ in range(n_shift // 2)]
     poch = []
     while len(poch) < n_poch:
-        a = rand_padic()
+        a = draw()
         n = rng.randint(0, 6)
-        if all(least_residue(a + j, p) for j in range(n)):
+        if least_residue(-a, p) >= n:  # (a)_n is a p-unit
             poch.append((a, n))
-    diffs = [rand_padic() for _ in range(diff_samples)]
+    diffs = [draw() for _ in range(20)]
 
     batch = GammaBatch(p, k)
     batch.add_all((0, 1, _HALF, Fraction(p, 4), 1 + Fraction(p, 4)))
@@ -570,13 +566,15 @@ def _ff2_draws(cid: str, p: int, cfg: "SweepConfig") -> list[CongruenceReport]:
     return out
 
 
-def _draw_rational(rng: Random, p: int | None = None) -> Fraction:
-    """num/den with |num| <= 12 and 1 <= den <= 12; given p, a p-divisible
-    denominator is drawn again."""
-    num = rng.randint(-12, 12)
-    den = rng.randint(1, 12)
+def _draw_rational(
+    rng: Random, p: int | None = None, num_max: int = 12, den_max: int = 12
+) -> Fraction:
+    """num/den with |num| <= num_max and 1 <= den <= den_max; given p, a
+    p-divisible denominator is drawn again."""
+    num = rng.randint(-num_max, num_max)
+    den = rng.randint(1, den_max)
     while p is not None and den % p == 0:
-        den = rng.randint(1, 12)
+        den = rng.randint(1, den_max)
     return Fraction(num, den)
 
 
@@ -642,6 +640,8 @@ class SweepConfig:
             raise ValueError(f"unknown congruence ids: {sorted(unknown)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for cid in [i for i in ids if i in _MIN_COUNTS]:
+            _check_count(cid, getattr(self, _MIN_COUNTS[cid][0]))
         primes = tuple(sorted(set(self.primes)))
         for p in primes:
             check_odd_prime(p)

@@ -84,7 +84,7 @@ def test_criterion_03_kilbourn_with_eta_coefficients():
     """Fourth-power series against eta coefficients for 3 <= p <= 97."""
     qexp = eta_product_qexp(100)
     before = congruences.oracle_comparisons
-    reports = [verify_kilbourn(p, qexp) for p in primes_in(3, 97)]
+    reports = [verify_kilbourn(p) for p in primes_in(3, 97)]
     _ORACLE_EVIDENCE[3] = (len(reports), congruences.oracle_comparisons - before)
     anchor = next(r for r in reports if r.p == 3)
     ok = (

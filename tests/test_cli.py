@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -346,6 +347,35 @@ def test_verify_empty_run_exits_two(argv, capsys):
     assert "nothing checked" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "2"], "gamma-laws needs samples >= 3, got 2"),
+        (["--samples", "0"], "gs-2.6 needs samples >= 1, got 0"),
+        (["--primes", "5,7", "--pairs", "0"], "ff-3.2 needs pairs >= 1, got 0"),
+        (["--primes", "5,7", "--pairs", "-1"], "ff-3.2 needs pairs >= 1, got -1"),
+    ],
+)
+def test_verify_counts_below_minimum_exit_two(argv, message, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_verify_counts_bind_only_selected_ids(capsys):
+    code, out, _ = run(["verify", "--id", "gs-2.6", "--samples", "1"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "1/1 hold")
+    argv = ["verify", "--id", "kilbourn-1.1", "--primes", "5,7", "--pairs", "0"]
+    code, out, _ = run(argv, capsys)
+    assert (code, out.splitlines()[-1]) == (0, "2/2 hold")
+
+
+def test_verify_rejects_composite_in_prime_list(capsys):
+    code, out, err = run(["verify", "--id", "zudilin-1.2", "--primes", "5,9"], capsys)
+    assert (code, out) == (2, "")
+    assert "expected an odd prime, got 9" in err
+
+
 def test_verify_rejects_jobs_below_one(capsys):
     code, out, err = run(["verify", "--id", "zudilin-1.2", "--jobs", "0"], capsys)
     assert (code, out) == (2, "")
@@ -404,6 +434,28 @@ def test_verify_unexpected_exception_is_an_error_row(monkeypatch, capsys):
         "error", "forced for the test", False
     )
     assert (second["p"], second["holds"]) == (7, True)
+
+
+def quick_start_transcripts():
+    """(argv, expected stdout) for each `$ supercon ...` in README's Quick start."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n")[1]
+    out = []
+    for transcript in block.strip().split("\n\n"):
+        command, _, expected = transcript.partition("\n")
+        assert command.startswith("$ supercon "), command
+        out.append((shlex.split(command)[2:], expected + "\n"))
+    return out
+
+
+def test_readme_quick_start_is_true(capsys):
+    transcripts = quick_start_transcripts()
+    assert len(transcripts) == 5
+    for argv, expected in transcripts:
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert mask_times(out) == mask_times(expected), argv
 
 
 def test_usage_errors_exit_two(capsys):

@@ -13,6 +13,7 @@ from supercon.arith import (
     OMEGA,
     CycloElem,
     cyclo_reduce,
+    least_residue,
     primes_in,
     reduce_mod,
 )
@@ -40,7 +41,6 @@ from supercon.errors import (
     OracleMismatch,
     PrecisionExhausted,
 )
-from supercon.eta import eta_product_qexp
 from supercon.gamma import gamma_p
 from supercon.hyper import pfq_exact, pochhammer
 
@@ -75,11 +75,10 @@ def test_report_record_shape():
 
 
 def test_kilbourn_small_primes():
-    qexp = eta_product_qexp(100)
-    r3 = verify_kilbourn(3, qexp)
+    r3 = verify_kilbourn(3)
     assert r3.holds and r3.lhs == "23"
     for p in (5, 7, 11, 13):
-        assert verify_kilbourn(p, qexp).holds
+        assert verify_kilbourn(p).holds
 
 
 def test_zudilin_both_sign_classes():
@@ -184,6 +183,133 @@ def hand_built_quotient(p, alpha):
     return num / den
 
 
+def ff3_hypothesis_scan(p, alpha):
+    """ff-3.3's former hypothesis check: walk the four alpha-dependent
+    Pochhammers of length (p - 1)/4 factor by factor, j-major.  Returns the
+    message for the first factor divisible by p, or None."""
+    for j in range((p - 1) // 4):
+        for factor in (
+            alpha + F(3, 4) + j,
+            _HALF - alpha + j,
+            1 + alpha + j,
+            F(3, 4) - alpha + j,
+        ):
+            if least_residue(factor, p) == 0:
+                return f"Pochhammer factor {factor} vanishes mod {p}"
+    return None
+
+
+class _HypothesesHold(Exception):
+    pass
+
+
+def test_ff3_hypothesis_matches_scan(monkeypatch):
+    """Outcome and message of ff-3.3's hypothesis check against the scan.
+
+    ff_point is the first step after the check, so stopping there tells a
+    passed check apart without building the left side.  An admissible alpha,
+    least residue a in [0, r] with r = (p - 1)/4, never breaks the
+    hypothesis: its four Pochhammers reduce to factors in [1, 3r] mod p.  So
+    the violating draws are made with the window check lifted.
+    """
+
+    def stop(p, alpha):
+        raise _HypothesesHold
+
+    monkeypatch.setattr(congruences, "ff_point", stop)
+
+    def outcome(p, alpha):
+        try:
+            verify_ff3(p, alpha)
+        except HypothesisViolated as e:
+            return str(e)
+        except _HypothesesHold:
+            return None
+        raise AssertionError("verify_ff3 went past ff_point")
+
+    rng = Random(55)
+
+    def draw(p):
+        den = rng.randint(2, 12)
+        while den % p == 0:
+            den = rng.randint(2, 12)
+        return F(rng.randint(-60, 60), den)
+
+    primes = [p for p in primes_in(5, 199) if p % 4 == 1]
+    admissible = 0
+    for p in primes:
+        alphas = [F(a) for a in range(p // 4 + 1)]
+        while len(alphas) < p // 4 + 4:  # three seeded rationals in the window
+            alpha = draw(p)
+            if least_residue(alpha, p) <= p // 4:
+                alphas.append(alpha)
+        for alpha in alphas:
+            assert ff3_hypothesis_scan(p, alpha) is None, (p, alpha)
+            assert outcome(p, alpha) is None, (p, alpha)
+            admissible += 1
+    assert admissible == sum(p // 4 + 4 for p in primes)
+
+    monkeypatch.setattr(congruences, "alpha_window_residue", lambda alpha, p: 0)
+    violated = 0
+    for p in primes:
+        for _ in range(40):
+            alpha = draw(p)
+            expected = ff3_hypothesis_scan(p, alpha)
+            assert outcome(p, alpha) == expected, (p, alpha)
+            violated += expected is not None
+    assert violated > 300, violated
+
+
+def test_pochhammer_p_unit_closed_form_matches_scan():
+    """(x)_n has a factor x + j divisible by p, j < n, exactly when
+    -x mod p < n; ff-3.3 and gamma-laws test p-units this way."""
+    rng = Random(66)
+    primes = primes_in(3, 61)
+    hits = 0
+    for _ in range(3000):
+        p = rng.choice(primes)
+        den = rng.randint(1, 40)
+        while den % p == 0:
+            den = rng.randint(1, 40)
+        x = F(rng.randint(-500, 500), den)
+        n = rng.randint(0, p + 3)
+        scan = any(least_residue(x + j, p) == 0 for j in range(n))
+        assert (least_residue(-x, p) < n) == scan, (x, n, p)
+        hits += scan
+    assert 500 < hits < 2500
+
+
+def test_draw_rational_reproduces_both_streams():
+    """One seeded draw serves ff-3.2 and gs-2.6 (the 12/12 defaults) and
+    gamma-laws (|num| <= p^3, den <= 48), call for call."""
+
+    def former_gamma_laws_draw(rng, p):
+        num = rng.randint(-(p**3), p**3)
+        den = rng.randint(1, 48)
+        while den % p == 0:
+            den = rng.randint(1, 48)
+        return F(num, den)
+
+    def former_small_draw(rng, p):
+        num = rng.randint(-12, 12)
+        den = rng.randint(1, 12)
+        while p is not None and den % p == 0:
+            den = rng.randint(1, 12)
+        return F(num, den)
+
+    for p in (None, 5, 7, 11, 13):
+        one, two = Random(p or 1), Random(p or 1)
+        for _ in range(300):
+            assert congruences._draw_rational(one, p) == former_small_draw(two, p)
+        assert one.random() == two.random()
+    for p in (5, 7, 11, 13, 47):
+        one, two = Random(p), Random(p)
+        for _ in range(300):
+            drawn = congruences._draw_rational(one, p, p**3, 48)
+            assert drawn == former_gamma_laws_draw(two, p)
+        assert one.random() == two.random()
+
+
 def test_ff3_matches_hand_built_quotient():
     rng = Random(33)
     checked = 0
@@ -252,6 +378,15 @@ def test_gamma_laws_checker():
     r = verify_gamma_laws(13, samples=60, seed=5)
     assert r.holds
     assert r.params["samples"] == "60"
+
+
+def test_sample_minimums_guard_the_checkers():
+    assert verify_gs(samples=1).holds
+    assert verify_gamma_laws(5, samples=3).holds
+    with pytest.raises(ValueError, match="gs-2.6 needs samples >= 1"):
+        verify_gs(samples=0)
+    with pytest.raises(ValueError, match="gamma-laws needs samples >= 3"):
+        verify_gamma_laws(5, samples=2)
 
 
 def test_oracle_counter_moves():
