@@ -5,8 +5,9 @@ per report; `gamma`, `pfq`, `eta`, and `identity` expose the underlying
 evaluators for one-off queries.  Exit codes: 0 when everything checked out,
 1 when at least one congruence failed to hold, 2 for usage or validation
 problems and for a `verify` run that checked nothing, 3 for a `verify` run
-with no violation but at least one checker error row.  Rationals are
-written num/den with an optional sign.
+with no violation but at least one checker error row, and for a residue on
+which the two series routes disagreed.  Rationals are written num/den with
+an optional sign.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except OracleMismatch as e:
         print(f"internal error: {e}", file=sys.stderr)
-        return 2
+        return 3
     except (SuperconError, ValueError, ZeroDivisionError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -6,17 +6,21 @@ Series are evaluated by the term ratio
     t_{k+1} = t_k * prod(a_i + k) / (prod(b_j + k) * (k+1)) * z,
 
 never by rebuilding Pochhammers, so an n-term truncation costs O(n) ring
-operations.  A zero among the upper factors kills every later term (the
-series has terminated); a zero among the lower factors while terms are
-still live is a genuine pole and raises PoleInRange.  The dead-series
-check runs first, so a terminating series with a harmless lower zero
-beyond its support still evaluates.
+operations.  The exact route carries the term and the sum as numerators
+over one shared denominator, all integers (or Q(w) elements with integer
+coordinates), and forms the quotient once at the end; pfq_mod still
+embeds each factor as its own capped p-adic number.  A zero among the
+upper factors kills every later term (the series has terminated); a zero
+among the lower factors while terms are still live is a genuine pole and
+raises PoleInRange.  The dead-series check runs first, so a terminating
+series with a harmless lower zero beyond its support still evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Union
 
 from .arith import (
@@ -75,31 +79,38 @@ def pfq_exact(spec: PfqSpec) -> Param:
     """The truncated sum as an exact Fraction, or a CycloElem once a Q(w)
     factor enters a live term.
 
-    This is the oracle route: no modular shortcut, no precision loss.
+    This is the oracle route: no modular shortcut, no precision loss.  Each
+    entry splits once into r / s, r of the entry's kind with integer
+    coordinates and s a positive int, so that entry + k = (r + k*s) / s.
     """
-    total = term = Fraction(1)
+
+    def split(x: Param) -> tuple:
+        if isinstance(x, CycloElem):
+            s = lcm(x.c0.denominator, x.c1.denominator)
+            return x * s, s
+        return x.numerator, x.denominator
+
+    upper = [split(a) for a in spec.upper]
+    lower = [split(b) for b in spec.lower]
+    z_num, z_den = split(spec.z)
+    num0 = z_num * prod(s for _, s in lower)
+    den0 = z_den * prod(s for _, s in upper)
+    term = total = shared = 1  # the term and the sum, both over shared
     for k in range(spec.n):
-        dead = False
-        num = Fraction(1)
-        for a in spec.upper:
-            f = a + k
-            if f == 0:
-                dead = True
-                break
-            num = num * f
-        if dead:
+        nums = [r + k * s for r, s in upper]
+        if 0 in nums:
             break
-        den = Fraction(k + 1)
-        for b in spec.lower:
-            f = b + k
-            if f == 0:
-                raise PoleInRange(
-                    f"lower parameter {b} vanishes at k={k} inside a live series"
-                )
-            den = den * f
-        term = term * num / den * spec.z
-        total = total + term
-    return total
+        dens = [r + k * s for r, s in lower]
+        if 0 in dens:
+            b = spec.lower[dens.index(0)]
+            raise PoleInRange(
+                f"lower parameter {b} vanishes at k={k} inside a live series"
+            )
+        term = term * prod(nums, start=num0)
+        den = prod(dens, start=den0 * (k + 1))
+        total = total * den + term
+        shared = shared * den
+    return Fraction(1) * total / shared  # int / int would be a float
 
 
 def pfq_mod(spec: PfqSpec, p: int, k: int) -> PrimePowerResidue:

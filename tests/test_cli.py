@@ -142,8 +142,19 @@ def test_pfq_residue_is_checked_against_the_exact_route(monkeypatch, capsys):
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     argv = ["pfq", "--upper", "1/2", "--lower", "1", "--n", "3", "--p", "5", "--k", "2"]
     code, out, err = run(argv, capsys)
-    assert (code, out) == (2, "")
+    assert (code, out) == (3, "")
     assert "internal error" in err
+
+
+def test_verify_oracle_mismatch_exits_three(monkeypatch, capsys):
+    def wrong_pfq_mod(spec, p, k):
+        return congruences.reduce_mod(congruences.pfq_exact(spec), p, k) + 1
+
+    monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
+    argv = ["verify", "--id", "zudilin-1.2", "--primes", "5,7", "--jobs", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: modular evaluator gave")
 
 
 @pytest.fixture

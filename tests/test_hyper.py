@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
-from supercon.arith import OMEGA, CycloElem, reduce_mod, vp
+import supercon.congruences as congruences
+from supercon.arith import OMEGA, CycloElem, is_prime, reduce_mod, vp
+from supercon.congruences import SweepConfig, sweep
 from supercon.errors import (
     AlphaOutOfRange,
     NonUnitDenominator,
@@ -23,6 +25,7 @@ from supercon.hyper import (
     pfq_exact,
     pfq_mod,
     pochhammer,
+    _integer_in_window,
 )
 
 F = Fraction
@@ -77,6 +80,108 @@ def test_pfq_pole_in_live_range_raises():
         pfq_exact(spec)
     with pytest.raises(PoleInRange):
         pfq_mod(spec, 7, 2)
+
+
+def fraction_pfq_exact(spec):
+    """Reference: the former exact route, a reduced Fraction per factor."""
+    total = term = Fraction(1)
+    for k in range(spec.n):
+        dead = False
+        num = Fraction(1)
+        for a in spec.upper:
+            f = a + k
+            if f == 0:
+                dead = True
+                break
+            num = num * f
+        if dead:
+            break
+        den = Fraction(k + 1)
+        for b in spec.lower:
+            f = b + k
+            if f == 0:
+                raise PoleInRange(
+                    f"lower parameter {b} vanishes at k={k} inside a live series"
+                )
+            den = den * f
+        term = term * num / den * spec.z
+        total = total + term
+    return total
+
+
+def _exact_outcome(fn, spec):
+    """(value, type, str) of fn(spec), or (exception type, message)."""
+    try:
+        value = fn(spec)
+    except PoleInRange as e:
+        return type(e), str(e)
+    return value, type(value), str(value)
+
+
+def _assert_same_as_fraction_route(spec):
+    """pfq_exact(spec) matches the reference; returns its outcome."""
+    outcome = _exact_outcome(pfq_exact, spec)
+    assert outcome == _exact_outcome(fraction_pfq_exact, spec), spec
+    return outcome
+
+
+def test_pfq_exact_matches_fraction_route_on_random_specs():
+    rng = Random(14)
+
+    def entry():
+        kind = rng.randrange(5)
+        if kind < 2:
+            return rng.randint(-6, 4)
+        c = F(rng.randint(-12, 12), rng.randint(1, 6))
+        if kind < 4:
+            return c
+        return CycloElem(c, rng.choice((0, F(rng.randint(-3, 3), rng.randint(1, 3)))))
+
+    terminated = poles = shielded = 0
+    for _ in range(20_000):
+        upper = [entry() for _ in range(rng.randint(0, 3))]
+        lower = [entry() for _ in range(rng.randint(0, 3))]
+        z = 0 if rng.random() < 0.05 else entry()
+        spec = PfqSpec(upper, lower, z, rng.randint(0, 12))
+        outcome = _assert_same_as_fraction_route(spec)
+        if any(_integer_in_window(a, spec.n) for a in spec.upper):
+            terminated += 1
+        if outcome[0] is PoleInRange:
+            poles += 1
+        elif any(_integer_in_window(b, spec.n) for b in spec.lower):
+            shielded += 1  # a lower zero beyond the support
+    assert min(terminated, poles, shielded) >= 200, (terminated, poles, shielded)
+
+
+def test_pfq_exact_matches_fraction_route_on_catalog_specs(monkeypatch):
+    """Every series spec the catalog sums for p <= 97, main-1.4 at every
+    admissible alpha."""
+    specs = []
+
+    def recording_pfq_exact(spec):
+        specs.append(spec)
+        return pfq_exact(spec)
+
+    monkeypatch.setattr(congruences, "pfq_exact", recording_pfq_exact)
+    ids = ("kilbourn-1.1", "zudilin-1.2", "mccarthy-osburn-1.3",
+           "long-ramakrishna-p6", "main-1.4", "cor-1.5", "cor-1.6")
+    primes = tuple(p for p in range(3, 98) if is_prime(p))
+    reports = sweep(SweepConfig(ids=ids, primes=primes).normalized())
+    assert all(r.holds for r in reports)
+    assert len(specs) == len(reports) == 399
+    for spec in specs:
+        _assert_same_as_fraction_route(spec)
+
+
+def test_pfq_exact_matches_fraction_route_on_q_omega_points():
+    for p in range(5, 62):
+        if is_prime(p):
+            for alpha in range(p // 4 + 1):
+                _assert_same_as_fraction_route(ff_point(p, F(alpha)).series())
+
+
+def test_pfq_exact_matches_fraction_route_on_long_central_series():
+    _assert_same_as_fraction_route(PfqSpec((F(1, 2), F(1, 2)), (1,), 1, 2000))
 
 
 def test_pfq_mod_equals_reduced_exact_on_random_specs():
