@@ -35,7 +35,6 @@ from .arith import (
 )
 from .errors import (
     AlphaOutOfRange,
-    HypothesisViolated,
     NonUnitDenominator,
     OracleMismatch,
     PoleInRange,
@@ -389,9 +388,10 @@ def verify_ff3(p: int, alpha) -> CongruenceReport:
     gs_rhs at ff_point(p, alpha) is a quotient of eight Pochhammers of
     length (p - 1)/4, computed exactly in the cyclotomic field; its
     representative mod p^3 is compared with the gamma product embedded on
-    the rational axis.  Only defined for p = 1 mod 4; the non-vanishing
-    hypotheses on the four alpha-dependent Pochhammers are checked
-    explicitly.
+    the rational axis.  Only defined for p = 1 mod 4.  The four
+    alpha-dependent Pochhammers never vanish mod p on the alpha window:
+    with least residue a <= r = (p - 1)/4 their factors reduce into
+    [1, 3r].
     """
     t0 = time.perf_counter()
     _require_p5(p)
@@ -399,12 +399,6 @@ def verify_ff3(p: int, alpha) -> CongruenceReport:
         raise ValueError(f"this identity needs p = 1 (mod 4), got {p}")
     alpha = Fraction(alpha)
     alpha_window_residue(alpha, p)
-    # (x)_r, r = (p - 1)/4, has a factor x + j divisible by p exactly when
-    # j = -x mod p < r; name the first such factor, smallest j first
-    xs = (alpha + Fraction(3, 4), _HALF - alpha, 1 + alpha, Fraction(3, 4) - alpha)
-    j, i = min((least_residue(-x, p), i) for i, x in enumerate(xs))
-    if j < (p - 1) // 4:
-        raise HypothesisViolated(f"Pochhammer factor {xs[i] + j} vanishes mod {p}")
     lhs = cyclo_reduce(gs_rhs(ff_point(p, alpha)), p, 3)
     rhs = CycloElem(_main_rhs(p, alpha).value, 0)
     return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)

@@ -25,10 +25,6 @@ class NonInvertible(SuperconError, ZeroDivisionError):
     """Inversion requested for a non-unit (zero norm, or p-divisible residue)."""
 
 
-class HypothesisViolated(SuperconError, ValueError):
-    """An argument fails the non-vanishing hypothesis of the formula being applied."""
-
-
 class AlphaOutOfRange(SuperconError, ValueError):
     """The shift parameter's least residue falls outside [0, floor(p/4)]."""
 

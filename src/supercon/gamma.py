@@ -14,15 +14,17 @@ s^i coefficient is divisible by p^(i l), so it has degree below k:
 
     B_1(s) = prod_{0<j<p} (j + p s),   B_{l+1}(s) = prod_{u<p} B_l(p s + u).
 
-Walking up from 0, each step multiplies in the largest aligned block that
-still ends at or below the next representative, and the last fewer than p
-units are multiplied directly.  A value costs O(p k) block evaluations of
-O(k) each, instead of the O(p^k) units of the plain product (Morita 1975).
+With base-p digits d_l of m, the units below m fill d_l level-l blocks
+after q_l p^(l+1) at each level, where q_l = floor(m / p^(l+1)), so
+
+    G_p(m) = (-1)^m * prod_l Q_l[d_l](q_l),   Q_l[d](q) = prod_{u<d} B_l(p q + u).
+
+One pass builds the digit tables Q_l[d] for d < p; each value then reads
+one table entry per digit, k evaluations of O(k) each, instead of the
+O(p^k) units of the plain product (Morita 1975).
 """
 
 from __future__ import annotations
-
-import math
 
 from .arith import (
     PrimePowerResidue,
@@ -64,22 +66,28 @@ def _poly_mul(a: list, b: list, k: int, pk: int) -> list:
     return [c % pk for c in out]
 
 
-def _block_polys(p: int, k: int, top: int) -> list:
-    """(p^l, B_l) for every level l >= 1 with p^l <= top, largest first.
+def _digit_rows(p: int, k: int, top: int) -> list:
+    """Row l is the table Q_l[d], d < p, of each level l with p^l <= top.
 
-    B_0(t) = t on the units, so B_1 is the product of its substitutions
-    at the nonzero u; every later level takes all p of them.
+    Level 0 skips the multiple u = 0 and grows by the linear factor p q + u;
+    B_(l+1) is Q_l[p].  The top level only sees q = 0, so it holds constants.
     """
     pk = p**k
-    levels = []
-    poly, size = [0, 1], p
+    rows, block, size = [], None, 1
     while size <= top:
-        nxt = [1]
-        for u in range(1 if size == p else 0, p):
-            nxt = _poly_mul(nxt, _substitute(poly, p, u, k, pk), k, pk)
-        levels.insert(0, (size, nxt))
-        poly, size = nxt, size * p
-    return levels
+        at_top = size * p > top
+        q, row = [1], [[1]]
+        for u in range(p - 1 if at_top else p):
+            if at_top:  # B_l(u), and B_0(u) = u on the units
+                q = [q[0] * (_eval(block, u, pk) if block else u or 1) % pk]
+            elif block:
+                q = _poly_mul(q, _substitute(block, p, u, k, pk), k, pk)
+            elif u:
+                q = [(u * c + p * b) % pk for c, b in zip(q + [0], [0] + q)][:k]
+            row.append(q)
+        rows.append(row)
+        block, size = q, size * p
+    return rows
 
 
 def _eval(poly: list, s: int, pk: int) -> int:
@@ -96,13 +104,13 @@ def gamma_p(x: RationalLike, p: int, k: int) -> PrimePowerResidue:
 
 
 class GammaBatch:
-    """One shared block walk answering many gamma queries at fixed (p, k).
+    """One set of digit tables answering many gamma queries at fixed (p, k).
 
     Arguments are registered up front (in any order, duplicates fine),
-    one ascending walk passes every representative, and values are read
-    back per argument.  The block polynomials are rebuilt by each run();
-    deliberately not a cross-prime cache, so build one per (p, k) job and
-    let it go.
+    run() builds the tables up to the largest representative and reads
+    every value from them, and values are read back per argument.  The
+    tables are rebuilt by each run(); deliberately not a cross-prime cache,
+    so build one per (p, k) job and let it go.
     """
 
     def __init__(self, p: int, k: int):
@@ -126,7 +134,7 @@ class GammaBatch:
 
     @property
     def sweep_length(self) -> int:
-        """The largest registered representative: where the walk ends."""
+        """The largest registered representative: where the tables end."""
         return max(self._reps, default=0)
 
     def run(self) -> "GammaBatch":
@@ -134,23 +142,14 @@ class GammaBatch:
             return self
         p, k = self.p, self.k
         pk = p**k
-        levels = _block_polys(p, k, self.sweep_length)
+        rows = _digit_rows(p, k, self.sweep_length)
         values: dict[int, PrimePowerResidue] = {}
-        acc = 1
-        cur = 0  # acc is the product of the units in [0, cur)
-        for m in sorted(self._reps):
-            while cur < m:
-                for size, poly in levels:
-                    if cur % size == 0 and cur + size <= m:
-                        acc = acc * _eval(poly, cur // size, pk) % pk
-                        cur += size
-                        break
-                else:
-                    stop = min(m, cur - cur % p + p)
-                    acc = acc * math.prod(range(cur + (cur % p == 0), stop)) % pk
-                    cur = stop
-            val = -acc % pk if m % 2 else acc
-            values[m] = PrimePowerResidue(p, k, val)
+        for m in self._reps:
+            acc, q = 1, m
+            for row in rows:
+                q, d = divmod(q, p)
+                acc = acc * _eval(row[d], q, pk) % pk
+            values[m] = PrimePowerResidue(p, k, -acc % pk if m % 2 else acc)
         self._values = values
         return self
 
@@ -162,5 +161,5 @@ class GammaBatch:
             return self._values[m]
         except KeyError:
             raise KeyError(
-                f"argument {x} (rep {m}) was not registered before the walk"
+                f"argument {x} (rep {m}) was not registered before the run"
             ) from None

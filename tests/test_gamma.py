@@ -1,11 +1,16 @@
-"""p-adic gamma: values, laws, the block walk."""
+"""p-adic gamma: values, laws, the digit tables against the block walk."""
 
+import io
+import json
+import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from supercon.arith import PrimePowerResidue, least_residue, reduce_mod, vp
+from supercon import cli, congruences
+from supercon.arith import CycloElem, PrimePowerResidue, least_residue, reduce_mod, vp
 from supercon.errors import NonUnitDenominator
 from supercon.gamma import GammaBatch, gamma_p, residue_rep
 
@@ -19,6 +24,79 @@ def brute_gamma(m: int, p: int, pk: int) -> int:
         if j % p:
             out = out * j % pk
     return (-out if m % 2 else out) % pk
+
+
+# The former evaluator, kept as the reference for the digit tables: one
+# ascending walk over aligned blocks, O(p k) block evaluations per value.
+
+
+def _substitute(poly: list, p: int, u: int, k: int, pk: int) -> list:
+    """poly(p s + u) mod pk, as coefficients of s below degree k."""
+    out = [0] * k
+    for c in reversed(poly):
+        for i in range(k - 1, 0, -1):
+            out[i] = (u * out[i] + p * out[i - 1]) % pk
+        out[0] = (u * out[0] + c) % pk
+    return out
+
+
+def _poly_mul(a: list, b: list, k: int, pk: int) -> list:
+    """a * b mod pk, truncated below degree k."""
+    out = [0] * k
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: k - i]):
+                out[i + j] += x * y
+    return [c % pk for c in out]
+
+
+def _block_polys(p: int, k: int, top: int) -> list:
+    """(p^l, B_l) for every level l >= 1 with p^l <= top, largest first.
+
+    B_0(t) = t on the units, so B_1 is the product of its substitutions
+    at the nonzero u; every later level takes all p of them.
+    """
+    pk = p**k
+    levels = []
+    poly, size = [0, 1], p
+    while size <= top:
+        nxt = [1]
+        for u in range(1 if size == p else 0, p):
+            nxt = _poly_mul(nxt, _substitute(poly, p, u, k, pk), k, pk)
+        levels.insert(0, (size, nxt))
+        poly, size = nxt, size * p
+    return levels
+
+
+def _eval(poly: list, s: int, pk: int) -> int:
+    """poly(s) mod pk."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * s + c) % pk
+    return acc
+
+
+def block_walk_gamma(reps, p: int, k: int) -> dict:
+    """G_p(m) mod p^k for each representative m in [0, p^k), by the walk."""
+    pk = p**k
+    levels = _block_polys(p, k, max(reps, default=0))
+    values = {}
+    acc = 1
+    cur = 0  # acc is the product of the units in [0, cur)
+    for m in sorted(set(reps)):
+        while cur < m:
+            for size, poly in levels:
+                if cur % size == 0 and cur + size <= m:
+                    acc = acc * _eval(poly, cur // size, pk) % pk
+                    cur += size
+                    break
+            else:
+                stop = min(m, cur - cur % p + p)
+                acc = acc * math.prod(range(cur + (cur % p == 0), stop)) % pk
+                cur = stop
+        val = -acc % pk if m % 2 else acc
+        values[m] = val
+    return values
 
 
 def test_integer_values_match_product_definition():
@@ -138,7 +216,8 @@ def _walk_cases(p: int, k: int, rng: Random) -> list[int]:
 
 
 def test_block_walk_matches_unit_product():
-    """The block walk against the plain unit product, every level edge."""
+    """The reference walk and the digit tables against the plain unit
+    product, every level edge."""
     rng = Random(4099)
     for p in (3, 5, 7, 11, 13, 23, 31):
         for k in range(1, 7):
@@ -146,11 +225,101 @@ def test_block_walk_matches_unit_product():
             if pk > 1.2e6:
                 continue
             reps = _walk_cases(p, k, rng)
+            walk = block_walk_gamma(reps, p, k)
             batch = GammaBatch(p, k).add_all(reps).run()
             for m in reps:
                 want = brute_gamma(m, p, pk)
+                assert walk[m] == want, (p, k, m)
                 assert batch.value(m).value == want, (p, k, m)
                 assert gamma_p(m, p, k).value == want, (p, k, m)
+
+
+def _digit_cases(p: int, k: int, rng: Random) -> list[int]:
+    """Level edges, plus draws whose digits are mostly 0 or p - 1."""
+    reps = _walk_cases(p, k, rng)
+    for _ in range(8):
+        digits = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(k)]
+        reps.append(sum(d * p**i for i, d in enumerate(digits)))
+    return reps
+
+
+def _assert_batch_matches_walk(p: int, k: int, reps) -> None:
+    batch = GammaBatch(p, k).add_all(reps).run()
+    walk = block_walk_gamma([m % p**k for m in reps], p, k)
+    for m in reps:
+        assert batch.value(m).value == walk[m % p**k], (p, k, m)
+
+
+def test_digit_tables_match_block_walk():
+    """Seeded batches from p = 3 to 997 at every precision 1..6."""
+    rng = Random(1717)
+    for p in (3, 5, 7, 11, 13, 23, 97, 101, 173, 401, 997):
+        for k in range(1, 7):
+            _assert_batch_matches_walk(p, k, _digit_cases(p, k, rng))
+            # a batch that ends below the top level of the full range
+            _assert_batch_matches_walk(p, k, [rng.randrange(p**k) // p])
+
+
+def test_digit_tables_match_block_walk_at_the_largest_precision():
+    p, k = 997, 6
+    m = reduce_mod(F(1, 3), p, k).value
+    assert gamma_p(F(1, 3), p, k).value == block_walk_gamma([m], p, k)[m]
+
+
+_BENCH_SWEEPS = (
+    # the catalog-5-97 and gamma-hi argv of bench/run.py
+    ["--primes", "5..97"],
+    [
+        "--primes",
+        "5,7,11,13,17,19,23,101,103,107,109,113,127,131,137,139,149,151,"
+        "157,163,167,173",
+        "--id",
+        "gamma-laws,mccarthy-osburn-1.3,long-ramakrishna-p6",
+    ],
+)
+
+
+def test_benchmark_gamma_jobs_match_block_walk(monkeypatch):
+    """Every GammaBatch job of the two benchmark sweeps that run Gamma_p.
+
+    The jobs are recorded by wrapping GammaBatch.run.  The layers that make
+    no gamma query are stubbed so the sweeps take well under a second; the
+    right sides, and so the gamma jobs, are built as in a real run.
+    """
+    jobs = []
+    run = GammaBatch.run
+
+    def recording_run(self):
+        jobs.append((self.p, self.k, sorted(self._reps)))
+        return run(self)
+
+    monkeypatch.setattr(GammaBatch, "run", recording_run)
+    monkeypatch.setattr(
+        congruences, "_series_class", lambda spec, p, k: PrimePowerResidue(p, k, 0)
+    )
+    zero = CycloElem(0, 0)
+    monkeypatch.setattr(congruences, "ff1_build", lambda p, alpha: (zero, zero))
+    monkeypatch.setattr(congruences, "gs_lhs", lambda g: zero)
+    monkeypatch.setattr(congruences, "gs_rhs", lambda g: zero)
+    monkeypatch.setattr(congruences, "a_p", lambda p, coeffs: 0)
+    monkeypatch.setattr(congruences, "eta_product_qexp", lambda p: None)
+    monkeypatch.setattr(
+        congruences,
+        "verify_ff2",
+        lambda p, u, v, kmax: congruences._report("ff-3.2", p, {}, 3, 0, 0, 0.0),
+    )
+    for argv in _BENCH_SWEEPS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.main(["verify", "--format", "json", "--seed", "0"] + argv)
+        reports = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert reports and not [r for r in reports if "error" in r["params"]]
+    assert len(jobs) == 348 + 39  # catalog-5-97, gamma-hi
+    for p, k, reps in jobs:
+        walk = block_walk_gamma(reps, p, k)
+        batch = GammaBatch(p, k).add_all(reps)
+        run(batch)
+        assert {m: batch.value(m).value for m in reps} == walk, (p, k)
 
 
 def test_reflection_at_p97_k6():
