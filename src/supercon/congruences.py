@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from random import Random
 
 from .arith import (
@@ -29,7 +28,6 @@ from .arith import (
     PrimePowerResidue,
     check_odd_prime,
     cyclo_reduce,
-    least_residue,
     reduce_mod,
     vp,
 )
@@ -40,7 +38,7 @@ from .errors import (
     PoleInRange,
 )
 from .eta import a_p, eta_product_qexp
-from .gamma import GammaBatch, gamma_p, residue_rep
+from .gamma import GammaBatch, gamma_p
 from .hyper import (
     GSParams,
     PfqSpec,
@@ -404,81 +402,95 @@ def verify_ff3(p: int, alpha) -> CongruenceReport:
     return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
+def _gamma_law_draws(p: int, samples: int, seed: int) -> tuple:
+    """The seeded draws of verify_gamma_laws, each reduced once mod p^3.
+
+    Returns the reflection arguments, the shift arguments (units, then
+    p-divisible ones), the rising-factorial triples (a, rep of a, n) with
+    (a)_n a p-unit, and the 20 third-difference bases, all as
+    representatives in [0, p^3) except the exact a.
+    """
+    rng = Random(seed * 1_000_003 + p)
+    pk = p**3
+
+    def draw() -> Fraction:
+        return _draw_rational(rng, p, pk, 48)
+
+    def rep(x: Fraction) -> int:  # the draw's denominator is a p-unit
+        return x.numerator * pow(x.denominator, -1, pk) % pk
+
+    def rand_unit() -> int:
+        x = rep(draw())
+        while x % p == 0:
+            x = rep(draw())
+        return x
+
+    n_refl = samples - 2 * (samples // 3)
+    n_shift = samples // 3
+    n_poch = samples // 3
+    refl = [rep(draw()) for _ in range(n_refl)]
+    shift = [rand_unit() for _ in range(n_shift - n_shift // 2)]
+    shift += [p * rand_unit() % pk for _ in range(n_shift // 2)]
+    poch = []
+    while len(poch) < n_poch:
+        a = draw()
+        n = rng.randint(0, 6)
+        x = rep(a)
+        if -x % p >= n:  # (a)_n is a p-unit
+            poch.append((a, x, n))
+    diffs = [rep(draw()) for _ in range(20)]
+    return refl, shift, poch, diffs
+
+
 def verify_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceReport:
     """Property suite for the gamma implementation at precision 3.
 
     Covers the two constants, reflection, the shift quotient (unit and
     p-divisible arguments), the rising-factorial formula, the vanishing
     third difference of m -> gamma(a + m p), and the two sign identities
-    used downstream.  All queries share one walk.
+    used downstream.  All queries share one set of digit tables.  Each law
+    is checked as a congruence mod p^3 between integer representatives;
+    the rising factorial's direct side is the exact product, reduced.
     """
     t0 = time.perf_counter()
     _require_p5(p)
     _check_count("gamma-laws", samples)
-    rng = Random(seed * 1_000_003 + p)
     k = 3
-    draw = partial(_draw_rational, rng, p, p**k, 48)
+    pk = p**k
+    refl, shift, poch, diffs = _gamma_law_draws(p, samples, seed)
+    half = (pk + 1) // 2
+    quarter = p * pow(4, -1, pk) % pk
 
-    def rand_unit() -> Fraction:
-        x = draw()
-        while least_residue(x, p) == 0:
-            x = draw()
-        return x
-
-    n_refl = samples - 2 * (samples // 3)
-    n_shift = samples // 3
-    n_poch = samples // 3
-    refl = [draw() for _ in range(n_refl)]
-    shift = [rand_unit() for _ in range(n_shift - n_shift // 2)]
-    shift += [p * rand_unit() for _ in range(n_shift // 2)]
-    poch = []
-    while len(poch) < n_poch:
-        a = draw()
-        n = rng.randint(0, 6)
-        if least_residue(-a, p) >= n:  # (a)_n is a p-unit
-            poch.append((a, n))
-    diffs = [draw() for _ in range(20)]
-
-    batch = GammaBatch(p, k)
-    batch.add_all((0, 1, _HALF, Fraction(p, 4), 1 + Fraction(p, 4)))
+    batch = GammaBatch(p, k).add_all((0, 1, half, quarter, quarter + 1))
     for x in refl:
         batch.add(x).add(1 - x)
     for x in shift:
         batch.add(x).add(x + 1)
-    for a, n in poch:
-        batch.add(a).add(a + n)
-    for a in diffs:
-        for m in range(4):
-            batch.add(a + m * p)
-    batch.run()
-    g = batch.value
+    for _, x, n in poch:
+        batch.add(x).add(x + n)
+    for x in diffs:
+        batch.add_all(x + m * p for m in range(4))
+    g = batch.run().int_value
 
-    minus_one = PrimePowerResidue(p, k, -1)
-    one = PrimePowerResidue(p, k, 1)
-    ok = g(1) == minus_one and g(0) == one
+    minus_one = pk - 1
+    ok = g(1) == minus_one and g(0) == 1
     for x in refl:
-        expect = minus_one if residue_rep(x, p) % 2 else one
-        ok &= g(x) * g(1 - x) == expect
-    for x in shift:
-        if vp(x, p) == 0:
-            ok &= g(x + 1) == -reduce_mod(x, p, k) * g(x)
-        else:
-            ok &= g(x + 1) == -g(x)
-    for a, n in poch:
-        direct = reduce_mod(pochhammer(a, n), p, k)
-        via_gamma = g(a + n) / g(a)
-        if n % 2:
-            via_gamma = -via_gamma
-        ok &= direct == via_gamma
-    for a in diffs:
-        vals = [g(a + m * p) for m in range(4)]
-        third = vals[0] - 3 * vals[1] + 3 * vals[2] - vals[3]
-        ok &= third == PrimePowerResidue(p, k, 0)
-    ok &= g(Fraction(p, 4)) / g(1 + Fraction(p, 4)) == minus_one
-    ok &= g(_HALF) ** 2 == (minus_one if (p + 1) // 2 % 2 else one)
+        sign = -1 if (x % p or p) % 2 else 1
+        ok &= (g(x) * g(1 - x) - sign) % pk == 0
+    for x in shift:  # G(x + 1) = -x G(x) for a unit x, -G(x) for p | x
+        ok &= (g(x + 1) + (x if x % p else 1) * g(x)) % pk == 0
+    for a, x, n in poch:
+        direct = reduce_mod(pochhammer(a, n), p, k).value
+        ok &= direct == (-1) ** n * g(x + n) * pow(g(x), -1, pk) % pk
+    for x in diffs:
+        v0, v1, v2, v3 = (g(x + m * p) for m in range(4))
+        ok &= (v0 - 3 * v1 + 3 * v2 - v3) % pk == 0
+    ok &= g(quarter) * pow(g(quarter + 1), -1, pk) % pk == minus_one
+    ok &= g(half) ** 2 % pk == (minus_one if (p + 1) // 2 % 2 else 1)
 
     params = {"samples": str(samples), "seed": str(seed)}
-    return _report("gamma-laws", p, params, 3, g(1), minus_one, t0, ok)
+    rhs = PrimePowerResidue(p, k, -1)
+    return _report("gamma-laws", p, params, k, batch.value(1), rhs, t0, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,10 @@ class GammaBatch:
 
     Arguments are registered up front (in any order, duplicates fine),
     run() builds the tables up to the largest representative and reads
-    every value from them, and values are read back per argument.  The
-    tables are rebuilt by each run(); deliberately not a cross-prime cache,
-    so build one per (p, k) job and let it go.
+    every value from them, and values are read back per argument.  An int
+    argument is its own representative mod p^k; a Fraction is reduced.
+    The tables are rebuilt by each run(); deliberately not a cross-prime
+    cache, so build one per (p, k) job and let it go.
     """
 
     def __init__(self, p: int, k: int):
@@ -118,13 +119,19 @@ class GammaBatch:
         _check_precision(k)
         self.p = p
         self.k = k
+        self._pk = p**k
         self._reps: set[int] = set()
-        self._values: dict[int, PrimePowerResidue] | None = None
+        self._values: dict[int, int] | None = None
+
+    def _rep(self, x: RationalLike) -> int:
+        if isinstance(x, int):
+            return x % self._pk
+        return reduce_mod(x, self.p, self.k).value
 
     def add(self, x: RationalLike) -> "GammaBatch":
         if self._values is not None:
             raise RuntimeError("batch already swept; create a new one")
-        self._reps.add(reduce_mod(x, self.p, self.k).value)
+        self._reps.add(self._rep(x))
         return self
 
     def add_all(self, xs) -> "GammaBatch":
@@ -140,25 +147,35 @@ class GammaBatch:
     def run(self) -> "GammaBatch":
         if self._values is not None:
             return self
-        p, k = self.p, self.k
-        pk = p**k
-        rows = _digit_rows(p, k, self.sweep_length)
-        values: dict[int, PrimePowerResidue] = {}
+        p, pk = self.p, self._pk
+        rows = _digit_rows(p, self.k, self.sweep_length)
+        values: dict[int, int] = {}
         for m in self._reps:
             acc, q = 1, m
             for row in rows:
                 q, d = divmod(q, p)
                 acc = acc * _eval(row[d], q, pk) % pk
-            values[m] = PrimePowerResidue(p, k, -acc % pk if m % 2 else acc)
+            values[m] = -acc % pk if m % 2 else acc
         self._values = values
         return self
 
-    def value(self, x: RationalLike) -> PrimePowerResidue:
+    def int_value(self, m: int) -> int:
+        """G_p(m) mod p^k as an int in [0, p^k), for an int m whose class
+        mod p^k was registered."""
         if self._values is None:
             self.run()
-        m = reduce_mod(x, self.p, self.k).value
+        m %= self._pk
         try:
             return self._values[m]
+        except KeyError:
+            raise KeyError(
+                f"representative {m} was not registered before the run"
+            ) from None
+
+    def value(self, x: RationalLike) -> PrimePowerResidue:
+        m = self._rep(x)
+        try:
+            return PrimePowerResidue(self.p, self.k, self.int_value(m))
         except KeyError:
             raise KeyError(
                 f"argument {x} (rep {m}) was not registered before the run"

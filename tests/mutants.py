@@ -22,10 +22,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+_ARITH = "src/supercon/arith.py"
 _GAMMA = "src/supercon/gamma.py"
 _HYPER = "src/supercon/hyper.py"
 _CONG = "src/supercon/congruences.py"
 _DIGITS = ["tests/test_gamma.py::test_digit_tables_match_block_walk"]
+_LAWS = ["tests/test_congruences.py::test_gamma_laws_catch_a_planted_value"]
 _EXACT = [
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_catalog_specs",
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points",
@@ -41,6 +43,16 @@ MUTANTS = (
      "-acc % pk if m % 2 else acc", "-acc % pk if m % p % 2 else acc", _DIGITS),
     ("gamma: digits read from m // p", _GAMMA,
      "acc, q = 1, m\n", "acc, q = 1, m // p\n", _DIGITS),
+    ("capped route: a cancelled sum becomes the exact zero", _ARITH,
+     "return PadicCapped(p, n, 0, 0)", "return PadicCapped(p, INFINITY, 0, 0)",
+     ["tests/test_hyper.py::test_pfq_mod_never_certifies_a_wrong_residue"]),
+    ("gamma-laws: reflection parity flipped", _CONG,
+     "sign = -1 if (x % p or p) % 2 else 1", "sign = 1 if (x % p or p) % 2 else -1",
+     _LAWS),
+    ("gamma-laws: shift law's sign dropped", _CONG,
+     "(g(x + 1) + (x if", "(g(x + 1) - (x if", _LAWS),
+    ("gamma-laws: odd-n sign skipped", _CONG,
+     "direct == (-1) ** n * g(x + n)", "direct == g(x + n)", _LAWS),
     ("pfq_exact: z's denominator dropped", _HYPER,
      "den0 = z_den * prod(", "den0 = prod(", _EXACT),
     ("pfq_exact: lower entries' denominators dropped", _HYPER,

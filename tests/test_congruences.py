@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import re
+import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -12,14 +14,22 @@ import supercon.congruences as congruences
 from supercon.arith import (
     OMEGA,
     CycloElem,
+    PrimePowerResidue,
     cyclo_reduce,
     least_residue,
     primes_in,
     reduce_mod,
+    vp,
 )
 from supercon.congruences import (
+    _HALF,
     CATALOG,
+    CongruenceReport,
     SweepConfig,
+    _check_count,
+    _draw_rational,
+    _report,
+    _require_p5,
     sweep,
     verify_cor_6f5,
     verify_cor_quarter,
@@ -40,7 +50,7 @@ from supercon.errors import (
     OracleMismatch,
     PrecisionExhausted,
 )
-from supercon.gamma import gamma_p
+from supercon.gamma import GammaBatch, gamma_p, residue_rep
 from supercon.hyper import pfq_exact, pochhammer
 
 F = Fraction
@@ -343,6 +353,156 @@ def test_gamma_laws_checker():
     r = verify_gamma_laws(13, samples=60, seed=5)
     assert r.holds
     assert r.params["samples"] == "60"
+
+
+def reference_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceReport:
+    """The gamma-laws checker on PrimePowerResidue objects, as it was before
+    its laws moved to integer representatives; kept as the reference.
+    """
+    t0 = time.perf_counter()
+    _require_p5(p)
+    _check_count("gamma-laws", samples)
+    rng = Random(seed * 1_000_003 + p)
+    k = 3
+    draw = partial(_draw_rational, rng, p, p**k, 48)
+
+    def rand_unit() -> Fraction:
+        x = draw()
+        while least_residue(x, p) == 0:
+            x = draw()
+        return x
+
+    n_refl = samples - 2 * (samples // 3)
+    n_shift = samples // 3
+    n_poch = samples // 3
+    refl = [draw() for _ in range(n_refl)]
+    shift = [rand_unit() for _ in range(n_shift - n_shift // 2)]
+    shift += [p * rand_unit() for _ in range(n_shift // 2)]
+    poch = []
+    while len(poch) < n_poch:
+        a = draw()
+        n = rng.randint(0, 6)
+        if least_residue(-a, p) >= n:  # (a)_n is a p-unit
+            poch.append((a, n))
+    diffs = [draw() for _ in range(20)]
+
+    batch = GammaBatch(p, k)
+    batch.add_all((0, 1, _HALF, Fraction(p, 4), 1 + Fraction(p, 4)))
+    for x in refl:
+        batch.add(x).add(1 - x)
+    for x in shift:
+        batch.add(x).add(x + 1)
+    for a, n in poch:
+        batch.add(a).add(a + n)
+    for a in diffs:
+        for m in range(4):
+            batch.add(a + m * p)
+    batch.run()
+    g = batch.value
+
+    minus_one = PrimePowerResidue(p, k, -1)
+    one = PrimePowerResidue(p, k, 1)
+    ok = g(1) == minus_one and g(0) == one
+    for x in refl:
+        expect = minus_one if residue_rep(x, p) % 2 else one
+        ok &= g(x) * g(1 - x) == expect
+    for x in shift:
+        if vp(x, p) == 0:
+            ok &= g(x + 1) == -reduce_mod(x, p, k) * g(x)
+        else:
+            ok &= g(x + 1) == -g(x)
+    for a, n in poch:
+        direct = reduce_mod(pochhammer(a, n), p, k)
+        via_gamma = g(a + n) / g(a)
+        if n % 2:
+            via_gamma = -via_gamma
+        ok &= direct == via_gamma
+    for a in diffs:
+        vals = [g(a + m * p) for m in range(4)]
+        third = vals[0] - 3 * vals[1] + 3 * vals[2] - vals[3]
+        ok &= third == PrimePowerResidue(p, k, 0)
+    ok &= g(Fraction(p, 4)) / g(1 + Fraction(p, 4)) == minus_one
+    ok &= g(_HALF) ** 2 == (minus_one if (p + 1) // 2 % 2 else one)
+
+    params = {"samples": str(samples), "seed": str(seed)}
+    return _report("gamma-laws", p, params, 3, g(1), minus_one, t0, ok)
+
+
+def _gamma_laws_outcome(monkeypatch, checker, p, samples, seed):
+    """(params, lhs, rhs, holds) of one run, and the (p, k, sorted reps) of
+    each GammaBatch job it ran."""
+    jobs = []
+    run = GammaBatch.run
+
+    def recording_run(self):
+        if self._values is None:
+            jobs.append((self.p, self.k, sorted(self._reps)))
+        return run(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(GammaBatch, "run", recording_run)
+        r = checker(p, samples, seed)
+    return (r.params, r.lhs, r.rhs, r.holds), jobs
+
+
+def test_gamma_laws_match_reference(monkeypatch):
+    """Same report and same GammaBatch job as the residue-object checker at
+    every prime 5..173, seeds 0..3, the smallest and two usual sample sizes."""
+    for p in primes_in(5, 173):
+        for seed in range(4):
+            for samples in (3, 60, 100):
+                args = (p, samples, seed)
+                new = _gamma_laws_outcome(monkeypatch, verify_gamma_laws, *args)
+                ref = _gamma_laws_outcome(monkeypatch, reference_gamma_laws, *args)
+                assert new == ref, args
+                assert new[0][3] and len(new[1]) == 1, args
+
+
+def _gamma_law_sites(p: int, samples: int, seed: int) -> dict:
+    """One representative mod p^3 read by each law family, by name."""
+    pk = p**3
+    refl, shift, poch, diffs = congruences._gamma_law_draws(p, samples, seed)
+    assert shift[0] % p and not shift[-1] % p  # a unit first, a p-multiple last
+    _, x, n = poch[0]
+    quarter = p * pow(4, -1, pk) % pk
+    return {
+        "constant G(0)": 0,
+        "constant G(1)": 1,
+        "reflection": refl[0],
+        "unit shift": (shift[0] + 1) % pk,
+        "p-divisible shift": (shift[-1] + 1) % pk,
+        "Pochhammer quotient": (x + n) % pk,
+        "third difference": diffs[0],
+        "quarter sign": quarter,
+        "half-square sign": (pk + 1) // 2,
+    }
+
+
+@pytest.mark.parametrize("p, seed", [(5, 0), (13, 1), (101, 2), (173, 3)])
+def test_gamma_laws_catch_a_planted_value(monkeypatch, p, seed):
+    """A Gamma_p value one off mod p^3, planted where one law family reads
+    it, fails both checkers; unplanted, both hold."""
+    samples = 60
+    sites = _gamma_law_sites(p, samples, seed)
+    for checker in (verify_gamma_laws, reference_gamma_laws):
+        assert checker(p, samples, seed).holds, checker.__name__
+    run = GammaBatch.run
+    for family, rep in sites.items():
+
+        def planted_run(self, rep=rep):
+            fresh = self._values is None
+            run(self)
+            if fresh:
+                self._values[rep] = (self._values[rep] + 1) % self.p**self.k
+            return self
+
+        with monkeypatch.context() as m:
+            m.setattr(GammaBatch, "run", planted_run)
+            new, ref = (
+                strip([checker(p, samples, seed)])
+                for checker in (verify_gamma_laws, reference_gamma_laws)
+            )
+        assert new == ref and not new[0][-1], (family, rep)
 
 
 def test_sample_minimums_guard_the_checkers():

@@ -205,6 +205,31 @@ def test_batch_value_requires_registration():
         batch.value(F(1, 3))
 
 
+def test_int_argument_is_its_own_representative():
+    """add(m) for an int registers what add(Fraction(m)) does, and both
+    read paths give the same values for any int in the class."""
+    rng = Random(1818)
+    for p, k in ((5, 3), (13, 2), (101, 3)):
+        pk = p**k
+        ints = [0, 1, -1, pk, -pk - 3, 3 * pk + 7]
+        ints += [rng.randrange(-5 * pk, 5 * pk) for _ in range(10)]
+        by_int = GammaBatch(p, k).add_all(ints).run()
+        by_fraction = GammaBatch(p, k).add_all(F(m) for m in ints).run()
+        assert by_int._reps == by_fraction._reps
+        for m in ints:
+            assert by_int.value(m) == by_fraction.value(F(m)), (p, k, m)
+            assert by_int.int_value(m) == by_int.value(m).value, (p, k, m)
+
+
+def test_unregistered_reads_name_the_argument():
+    batch = GammaBatch(5, 2).add(F(1, 2)).add(7).run()
+    assert batch.int_value(7 + 25) == batch.value(7).value
+    with pytest.raises(KeyError, match="representative 8 was not registered"):
+        batch.int_value(33)
+    with pytest.raises(KeyError, match=r"argument 1/3 \(rep 17\) was not registered"):
+        batch.value(F(1, 3))
+
+
 def _walk_cases(p: int, k: int, rng: Random) -> list[int]:
     """Edges of every block level, the top of the range, and random reps."""
     pk = p**k
