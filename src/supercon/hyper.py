@@ -8,12 +8,13 @@ Series are evaluated by the term ratio
 never by rebuilding Pochhammers, so an n-term truncation costs O(n) ring
 operations.  The exact route carries the term and the sum as numerators
 over one shared denominator, all integers (or Q(w) elements with integer
-coordinates), and forms the quotient once at the end; pfq_mod still
-embeds each factor as its own capped p-adic number.  A zero among the
-upper factors kills every later term (the series has terminated); a zero
-among the lower factors while terms are still live is a genuine pole and
-raises PoleInRange.  The dead-series check runs first, so a terminating
-series with a harmless lower zero beyond its support still evaluates.
+coordinates), and forms the quotient once at the end; pfq_mod forms each
+term ratio as one exact integer quotient and embeds it once as a capped
+p-adic number.  A zero among the upper factors kills every later term (the
+series has terminated); a zero among the lower factors while terms are
+still live is a genuine pole and raises PoleInRange.  The dead-series
+check runs first, so a terminating series with a harmless lower zero
+beyond its support still evaluates.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> PrimePowerResidue:
     """The truncated sum's class mod p^k, carried in capped p-adic arithmetic.
 
     Rational parameters only: any CycloElem entry is a TypeError, even at
-    n = 0.  Each factor embeds with k relative digits; the valuation
+    n = 0.  Each term's ratio to the one before is formed exactly, as one
+    integer quotient, and embeds once with k relative digits; the valuation
     bookkeeping in PadicCapped then certifies exactly which residue the sum
     is known to, and PrecisionExhausted is raised when cancellation ate too
     many digits or the sum is not a p-adic integer.
@@ -127,32 +129,24 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> PrimePowerResidue:
     if any(isinstance(x, CycloElem) for x in (*spec.upper, *spec.lower, spec.z)):
         raise TypeError("modular evaluation is defined for rational parameters only")
 
-    def emb(x) -> PadicCapped:
-        return PadicCapped.from_rational(x, p, k)
-
-    z = emb(spec.z)
-    total = emb(1)
-    term = emb(1)
+    # Entry c = r/q gives c + j = (r + j*q)/q; the q's and z do not move with j.
+    ups = [(c.numerator, c.denominator) for c in spec.upper]
+    lows = [(c.numerator, c.denominator) for c in spec.lower]
+    lift = spec.z.numerator * prod(q for _, q in lows)
+    drop = spec.z.denominator * prod(q for _, q in ups)
+    total = term = PadicCapped.from_rational(1, p, k)
     for j in range(spec.n):
-        dead = False
-        num = emb(1)
-        for a in spec.upper:
-            f = a + j
-            if f == 0:
-                dead = True
-                break
-            num = num * emb(f)
-        if dead:
-            break
-        den = emb(j + 1)
-        for b in spec.lower:
-            f = b + j
-            if f == 0:
-                raise PoleInRange(
-                    f"lower parameter {b} vanishes at k={j} inside a live series"
-                )
-            den = den * emb(f)
-        term = term * num / den * z
+        tops = [r + j * q for r, q in ups]
+        if 0 in tops:
+            break  # the series has terminated
+        bottoms = [r + j * q for r, q in lows]
+        if 0 in bottoms:
+            b = spec.lower[bottoms.index(0)]
+            raise PoleInRange(
+                f"lower parameter {b} vanishes at k={j} inside a live series"
+            )
+        ratio = Fraction(prod(tops, start=lift), prod(bottoms, start=drop * (j + 1)))
+        term = term * PadicCapped.from_rational(ratio, p, k)
         total = total + term
     return total.residue(k)
 

@@ -32,6 +32,10 @@ _EXACT = [
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_catalog_specs",
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points",
 ]
+_MOD = [  # the quick one first: pytest -x stops at the first failure
+    "tests/test_hyper.py::test_pfq_mod_zero_z_still_meets_a_later_pole",
+    "tests/test_hyper.py::test_pfq_mod_matches_factor_route_on_catalog_specs",
+]
 
 #: (name, file, old text, new text, test node ids that must fail)
 MUTANTS = (
@@ -62,6 +66,18 @@ MUTANTS = (
      "dens = [r + (k + 1) * s for r, s in lower]", _EXACT),
     ("pfq_exact: k! factor off by one", _HYPER,
      "start=den0 * (k + 1))", "start=den0 * (k + 2))", _EXACT),
+    ("pfq_mod: z's denominator dropped", _HYPER,
+     "drop = spec.z.denominator * prod(", "drop = prod(", _MOD),
+    ("pfq_mod: lower entries' denominators dropped", _HYPER,
+     "lift = spec.z.numerator * prod(q for _, q in lows)",
+     "lift = spec.z.numerator", _MOD),
+    ("pfq_mod: k! factor off by one", _HYPER,
+     "start=drop * (j + 1))", "start=drop * (j + 2))", _MOD),
+    ("pfq_mod: a zero ratio ends the series", _HYPER,
+     "        total = total + term\n    return",
+     "        total = total + term\n"
+     "        if not ratio:\n            break\n    return",
+     _MOD),
     ("ff-3.2: a wrong factor in the triple product", _CONG,
      "lhs * f0 * f1 * f2", "lhs * f0 * f1 * f1",
      ["tests/test_congruences.py::test_ff2_matches_exact_triple_loop"]),

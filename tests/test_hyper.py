@@ -6,7 +6,16 @@ from random import Random
 import pytest
 
 import supercon.congruences as congruences
-from supercon.arith import OMEGA, CycloElem, is_prime, reduce_mod, vp
+from supercon.arith import (
+    OMEGA,
+    CycloElem,
+    PadicCapped,
+    check_odd_prime,
+    is_prime,
+    reduce_mod,
+    vp,
+    _check_precision,
+)
 from supercon.congruences import SweepConfig, sweep
 from supercon.errors import (
     AlphaOutOfRange,
@@ -256,6 +265,109 @@ def test_pfq_mod_rejects_cyclo_flavor():
         ):
             with pytest.raises(TypeError):
                 pfq_mod(spec, 5, 2)
+
+
+def factor_pfq_mod(spec, p, k):
+    """Reference: the former capped route, one PadicCapped per factor."""
+    check_odd_prime(p)
+    _check_precision(k)
+    if any(isinstance(x, CycloElem) for x in (*spec.upper, *spec.lower, spec.z)):
+        raise TypeError("modular evaluation is defined for rational parameters only")
+
+    def emb(x) -> PadicCapped:
+        return PadicCapped.from_rational(x, p, k)
+
+    z = emb(spec.z)
+    total = emb(1)
+    term = emb(1)
+    for j in range(spec.n):
+        dead = False
+        num = emb(1)
+        for a in spec.upper:
+            f = a + j
+            if f == 0:
+                dead = True
+                break
+            num = num * emb(f)
+        if dead:
+            break
+        den = emb(j + 1)
+        for b in spec.lower:
+            f = b + j
+            if f == 0:
+                raise PoleInRange(
+                    f"lower parameter {b} vanishes at k={j} inside a live series"
+                )
+            den = den * emb(f)
+        term = term * num / den * z
+        total = total + term
+    return total.residue(k)
+
+
+def _mod_outcome(fn, spec, p, k):
+    """("residue", its str) of fn(spec, p, k), or (exception type, message)."""
+    try:
+        return "residue", str(fn(spec, p, k))
+    except (PoleInRange, PrecisionExhausted) as e:
+        return type(e), str(e)
+
+
+def test_pfq_mod_matches_factor_route_on_random_specs():
+    rng = Random(19)
+
+    def entry():
+        if rng.random() < 0.3:
+            return rng.randint(-6, 4)
+        return F(rng.randint(-12, 12), rng.randint(1, 6))
+
+    seen = {"residue": 0, PrecisionExhausted: 0, PoleInRange: 0}
+    for _ in range(20_000):
+        p = rng.choice((3, 5, 7))
+        k = rng.randint(1, 4)
+        upper = [entry() for _ in range(rng.randint(0, 3))]
+        lower = [entry() for _ in range(rng.randint(0, 3))]
+        z = 0 if rng.random() < 0.05 else entry()
+        spec = PfqSpec(upper, lower, z, rng.randint(0, 14))
+        outcome = _mod_outcome(pfq_mod, spec, p, k)
+        assert outcome == _mod_outcome(factor_pfq_mod, spec, p, k), (spec, p, k)
+        seen[outcome[0]] += 1
+    assert min(seen.values()) >= 1000, seen
+
+
+def test_pfq_mod_matches_factor_route_on_catalog_specs(monkeypatch):
+    """Every (spec, p, k) the seven series ids sum over 5..199 at seed 0."""
+    calls = []
+    series_class = congruences._series_class
+
+    def recording_series_class(spec, p, k, exact=None):
+        fast = series_class(spec, p, k, exact)  # pfq_mod's class
+        calls.append(((spec, p, k), ("residue", str(fast))))
+        return fast
+
+    monkeypatch.setattr(congruences, "_series_class", recording_series_class)
+    ids = ("kilbourn-1.1", "zudilin-1.2", "mccarthy-osburn-1.3",
+           "long-ramakrishna-p6", "main-1.4", "cor-1.5", "cor-1.6")
+    primes = tuple(p for p in range(5, 200) if is_prime(p))
+    reports = sweep(SweepConfig(ids=ids, primes=primes, seed=0).normalized())
+    assert all(r.holds for r in reports)
+    assert len(calls) == 1304
+    for call, outcome in calls:
+        assert _mod_outcome(factor_pfq_mod, *call) == outcome, call
+
+
+def test_pfq_mod_zero_z_still_meets_a_later_pole():
+    """z = 0 makes every term after the first zero, but the series stays
+    live: a lower entry that vanishes at k = 2 is still a pole."""
+    spec = PfqSpec((F(1, 2),), (F(-2),), 0, 5)
+    message = "lower parameter -2 vanishes at k=2 inside a live series"
+    for fn in (pfq_mod, factor_pfq_mod):
+        with pytest.raises(PoleInRange) as e:
+            fn(spec, 5, 3)
+        assert str(e.value) == message
+    with pytest.raises(PoleInRange):
+        pfq_exact(spec)
+    short = PfqSpec((F(1, 2),), (F(-2),), 0, 2)  # stops before the pole
+    assert str(pfq_mod(short, 5, 3)) == "1"
 
 
 def test_pfq_spec_promotes_flavor():
