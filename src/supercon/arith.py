@@ -4,7 +4,9 @@ Everything downstream (gamma sweeps, series evaluators, congruence checkers)
 works over the four scalar kinds defined here:
 
   * exact rationals      -- fractions.Fraction, used as-is
-  * PrimePowerResidue    -- an element of Z/p^k for an odd prime p, 1 <= k <= 6
+  * PrimePowerResidue    -- a class mod p^k for an odd prime p, 1 <= k <= 6,
+                            with `*` and `**` by n >= 0; the checkers do
+                            their other residue work on plain ints
   * PadicCapped          -- p^v * unit with a tracked relative precision;
                             the format behind hyper.pfq_mod, not exported
   * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0 and exact rational
@@ -108,11 +110,13 @@ def _check_precision(k: int) -> int:
 
 @dataclass(frozen=True)
 class PrimePowerResidue:
-    """An element of Z/p^k, p an odd prime, 1 <= k <= 6.
+    """A class mod p^k, p an odd prime, 1 <= k <= 6.
 
-    The stored value is always normalized to [0, p^k).  Arithmetic between
-    residues requires matching (p, k); mixing moduli is a bug, not a
-    coercion opportunity.  Plain ints coerce on the right and left.
+    The stored value is always normalized to [0, p^k).  It carries what the
+    reports print and compare: `==`, `*` (by a residue of the same (p, k) or
+    a plain int, on either side) and `**` by an integer n >= 0.  Mixing
+    moduli is a bug, not a coercion opportunity.  Sums, negation and
+    inverses are taken on `.value` ints mod `.modulus`.
     """
 
     p: int
@@ -140,26 +144,6 @@ class PrimePowerResidue:
             return PrimePowerResidue(self.p, self.k, other)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PrimePowerResidue(self.p, self.k, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PrimePowerResidue(self.p, self.k, self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PrimePowerResidue(self.p, self.k, o.value - self.value)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -168,36 +152,9 @@ class PrimePowerResidue:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return PrimePowerResidue(self.p, self.k, -self.value)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def inverse(self) -> "PrimePowerResidue":
-        if not self.is_unit():
-            raise NonInvertible(
-                f"{self.value} is divisible by {self.p}, not invertible mod {self.p}^{self.k}"
-            )
-        return PrimePowerResidue(self.p, self.k, pow(self.value, -1, self.modulus))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
-
     def __pow__(self, n: int) -> "PrimePowerResidue":
-        if not isinstance(n, int):
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
         return PrimePowerResidue(self.p, self.k, pow(self.value, n, self.modulus))
 
     def __str__(self) -> str:

@@ -115,7 +115,11 @@ def cmd_verify(args) -> int:
         return 2
     text = _render(reports, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if any(not r.holds and "error" not in r.params for r in reports):

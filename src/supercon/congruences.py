@@ -242,7 +242,7 @@ def _gamma_product_rhs(p: int, sign: int, factors) -> PrimePowerResidue:
     p2 = p * p
     unit = 1
     for a, e in factors:
-        unit = unit * pow(batch.value(a).value, e, p2) % p2
+        unit = unit * pow(batch.value(a), e, p2) % p2
     return PrimePowerResidue(p, 3, sign * p * unit)
 
 
@@ -470,7 +470,7 @@ def verify_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceRe
         batch.add(x).add(x + n)
     for x in diffs:
         batch.add_all(x + m * p for m in range(4))
-    g = batch.run().int_value
+    g = batch.run().value
 
     minus_one = pk - 1
     ok = g(1) == minus_one and g(0) == 1
@@ -490,7 +490,7 @@ def verify_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceRe
 
     params = {"samples": str(samples), "seed": str(seed)}
     rhs = PrimePowerResidue(p, k, -1)
-    return _report("gamma-laws", p, params, k, batch.value(1), rhs, t0, ok)
+    return _report("gamma-laws", p, params, k, g(1), rhs, t0, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ class PoleInRange(SuperconError, ArithmeticError):
 
 
 class NonInvertible(SuperconError, ZeroDivisionError):
-    """Inversion requested for a non-unit (zero norm, or p-divisible residue)."""
+    """Inversion requested for a zero CycloElem, the one element with zero norm."""
 
 
 class AlphaOutOfRange(SuperconError, ValueError):

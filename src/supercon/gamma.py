@@ -22,6 +22,10 @@ after q_l p^(l+1) at each level, where q_l = floor(m / p^(l+1)), so
 One pass builds the digit tables Q_l[d] for d < p; each value then reads
 one table entry per digit, k evaluations of O(k) each, instead of the
 O(p^k) units of the plain product (Morita 1975).
+
+GammaBatch answers a set of arguments from one set of tables and reads each
+value back as a plain int in [0, p^k); gamma_p is the one-argument call and
+returns that int as a PrimePowerResidue.
 """
 
 from __future__ import annotations
@@ -31,19 +35,8 @@ from .arith import (
     RationalLike,
     _check_precision,
     check_odd_prime,
-    least_residue,
     reduce_mod,
 )
-
-
-def residue_rep(x: RationalLike, p: int) -> int:
-    """The representative of x mod p in {1, ..., p}.
-
-    Same as least_residue except that the class of zero maps to p, not 0.
-    This is the exponent convention the reflection law uses.
-    """
-    r = least_residue(x, p)
-    return r if r else p
 
 
 def _substitute(poly: list, p: int, u: int, k: int, pk: int) -> list:
@@ -100,7 +93,7 @@ def _eval(poly: list, s: int, pk: int) -> int:
 
 def gamma_p(x: RationalLike, p: int, k: int) -> PrimePowerResidue:
     """G_p(x) mod p^k for x in Z_p (denominator must be a p-unit)."""
-    return GammaBatch(p, k).add(x).run().value(x)
+    return PrimePowerResidue(p, k, GammaBatch(p, k).add(x).run().value(x))
 
 
 class GammaBatch:
@@ -108,10 +101,10 @@ class GammaBatch:
 
     Arguments are registered up front (in any order, duplicates fine),
     run() builds the tables up to the largest representative and reads
-    every value from them, and values are read back per argument.  An int
-    argument is its own representative mod p^k; a Fraction is reduced.
-    The tables are rebuilt by each run(); deliberately not a cross-prime
-    cache, so build one per (p, k) job and let it go.
+    every value from them, and value() reads each one back as a plain int.
+    An int argument is its own representative mod p^k; a Fraction is
+    reduced.  The tables are rebuilt by each run(); deliberately not a
+    cross-prime cache, so build one per (p, k) job and let it go.
     """
 
     def __init__(self, p: int, k: int):
@@ -159,23 +152,14 @@ class GammaBatch:
         self._values = values
         return self
 
-    def int_value(self, m: int) -> int:
-        """G_p(m) mod p^k as an int in [0, p^k), for an int m whose class
-        mod p^k was registered."""
+    def value(self, x: RationalLike) -> int:
+        """G_p(x) mod p^k as an int in [0, p^k), for an x whose class mod
+        p^k was registered (an int or a Fraction, as add() takes)."""
         if self._values is None:
             self.run()
-        m %= self._pk
-        try:
-            return self._values[m]
-        except KeyError:
-            raise KeyError(
-                f"representative {m} was not registered before the run"
-            ) from None
-
-    def value(self, x: RationalLike) -> PrimePowerResidue:
         m = self._rep(x)
         try:
-            return PrimePowerResidue(self.p, self.k, self.int_value(m))
+            return self._values[m]
         except KeyError:
             raise KeyError(
                 f"argument {x} (rep {m}) was not registered before the run"

@@ -78,6 +78,12 @@ MUTANTS = (
      "        total = total + term\n"
      "        if not ratio:\n            break\n    return",
      _MOD),
+    ("gamma: an int argument read without reduction", _GAMMA,
+     "return x % self._pk", "return x",
+     ["tests/test_gamma.py::test_int_argument_is_its_own_representative"]),
+    ("long-ramakrishna: the 5 (mod 6) unit read as 10/9", _CONG,
+     "Fraction(10, 27)", "Fraction(10, 9)",
+     ["tests/test_congruences.py::test_long_ramakrishna_both_classes"]),
     ("ff-3.2: a wrong factor in the triple product", _CONG,
      "lhs * f0 * f1 * f2", "lhs * f0 * f1 * f1",
      ["tests/test_congruences.py::test_ff2_matches_exact_triple_loop"]),

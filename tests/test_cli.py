@@ -16,6 +16,7 @@ import pytest
 import supercon
 import supercon.cli as cli
 import supercon.congruences as congruences
+from supercon.arith import PrimePowerResidue
 from supercon.cli import main
 from supercon.congruences import CongruenceReport, SweepConfig, sweep
 from supercon.errors import PrecisionExhausted
@@ -137,7 +138,8 @@ def test_pfq_refuses_a_residue_it_cannot_certify(argv, capsys):
 
 def test_pfq_residue_is_checked_against_the_exact_route(monkeypatch, capsys):
     def wrong_pfq_mod(spec, p, k):
-        return congruences.reduce_mod(congruences.pfq_exact(spec), p, k) + 1
+        exact = congruences.reduce_mod(congruences.pfq_exact(spec), p, k)
+        return PrimePowerResidue(p, k, exact.value + 1)
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     argv = ["pfq", "--upper", "1/2", "--lower", "1", "--n", "3", "--p", "5", "--k", "2"]
@@ -148,7 +150,8 @@ def test_pfq_residue_is_checked_against_the_exact_route(monkeypatch, capsys):
 
 def test_verify_oracle_mismatch_exits_three(monkeypatch, capsys):
     def wrong_pfq_mod(spec, p, k):
-        return congruences.reduce_mod(congruences.pfq_exact(spec), p, k) + 1
+        exact = congruences.reduce_mod(congruences.pfq_exact(spec), p, k)
+        return PrimePowerResidue(p, k, exact.value + 1)
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     argv = ["verify", "--id", "zudilin-1.2", "--primes", "5,7", "--jobs", "1"]
@@ -308,6 +311,20 @@ def test_verify_writes_out_file(tmp_path, capsys):
     assert out == ""
     rows = [json.loads(line) for line in target.read_text().splitlines()]
     assert rows[0]["id"] == "gs-2.6" and rows[0]["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [("missing/dir/x", "FileNotFoundError"), ("", "IsADirectoryError")],
+)
+def test_verify_unwritable_out_is_a_usage_error(where, error, tmp_path, capsys):
+    """Exit 1 means a congruence failed; a bad --out path is exit 2."""
+    argv = ["verify", "--id", "gs-2.6", "--samples", "10"]
+    argv += ["--out", str(tmp_path / where)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}: ")
+    assert "Traceback" not in err
 
 
 def test_verify_deterministic_bytes(capsys):

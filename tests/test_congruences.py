@@ -50,8 +50,9 @@ from supercon.errors import (
     OracleMismatch,
     PrecisionExhausted,
 )
-from supercon.gamma import GammaBatch, gamma_p, residue_rep
+from supercon.gamma import GammaBatch, gamma_p
 from supercon.hyper import pfq_exact, pochhammer
+from test_gamma import residue_rep
 
 F = Fraction
 
@@ -109,7 +110,7 @@ def test_mccarthy_osburn_rhs_needs_gamma_mod_p2_only():
     """-p * Gamma_p(3/4)^-4 mod p^3 is unchanged when Gamma is read mod p^2."""
     for p in primes_in(5, 97):
         if p % 4 == 1:
-            old = reduce_mod(-p, p, 3) * gamma_p(F(3, 4), p, 3) ** (-4)
+            old = -p * pow(gamma_p(F(3, 4), p, 3).value, -4, p**3) % p**3
             assert verify_mccarthy_osburn(p).rhs == str(old), p
 
 
@@ -357,7 +358,9 @@ def test_gamma_laws_checker():
 
 def reference_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceReport:
     """The gamma-laws checker on PrimePowerResidue objects, as it was before
-    its laws moved to integer representatives; kept as the reference.
+    its laws moved to integer representatives; kept as the reference.  Each
+    quotient G(b) / G(a) = c is checked as G(b) == c * G(a) (Gamma_p values
+    are units), and the third difference on the values' ints.
     """
     t0 = time.perf_counter()
     _require_p5(p)
@@ -398,7 +401,9 @@ def reference_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> Congruenc
         for m in range(4):
             batch.add(a + m * p)
     batch.run()
-    g = batch.value
+
+    def g(x) -> PrimePowerResidue:
+        return PrimePowerResidue(p, k, batch.value(x))
 
     minus_one = PrimePowerResidue(p, k, -1)
     one = PrimePowerResidue(p, k, 1)
@@ -408,20 +413,16 @@ def reference_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> Congruenc
         ok &= g(x) * g(1 - x) == expect
     for x in shift:
         if vp(x, p) == 0:
-            ok &= g(x + 1) == -reduce_mod(x, p, k) * g(x)
+            ok &= g(x + 1) == minus_one * reduce_mod(x, p, k) * g(x)
         else:
-            ok &= g(x + 1) == -g(x)
-    for a, n in poch:
+            ok &= g(x + 1) == minus_one * g(x)
+    for a, n in poch:  # (a)_n = (-1)^n G(a + n) / G(a), G(a) a unit
         direct = reduce_mod(pochhammer(a, n), p, k)
-        via_gamma = g(a + n) / g(a)
-        if n % 2:
-            via_gamma = -via_gamma
-        ok &= direct == via_gamma
+        ok &= direct * g(a) == minus_one**n * g(a + n)
     for a in diffs:
-        vals = [g(a + m * p) for m in range(4)]
-        third = vals[0] - 3 * vals[1] + 3 * vals[2] - vals[3]
-        ok &= third == PrimePowerResidue(p, k, 0)
-    ok &= g(Fraction(p, 4)) / g(1 + Fraction(p, 4)) == minus_one
+        vals = [g(a + m * p).value for m in range(4)]
+        ok &= (vals[0] - 3 * vals[1] + 3 * vals[2] - vals[3]) % p**k == 0
+    ok &= g(Fraction(p, 4)) == minus_one * g(1 + Fraction(p, 4))
     ok &= g(_HALF) ** 2 == (minus_one if (p + 1) // 2 % 2 else one)
 
     params = {"samples": str(samples), "seed": str(seed)}
@@ -525,7 +526,7 @@ def test_oracle_mismatch_is_raised(monkeypatch):
     """A broken fast path must abort loudly, not mark the report failed."""
 
     def wrong_pfq_mod(spec, p, k):
-        return reduce_mod(pfq_exact(spec), p, k) + 1
+        return PrimePowerResidue(p, k, reduce_mod(pfq_exact(spec), p, k).value + 1)
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):
@@ -534,7 +535,7 @@ def test_oracle_mismatch_is_raised(monkeypatch):
 
 def test_oracle_mismatch_escapes_sweep(monkeypatch):
     def wrong_pfq_mod(spec, p, k):
-        return reduce_mod(pfq_exact(spec), p, k) + 1
+        return PrimePowerResidue(p, k, reduce_mod(pfq_exact(spec), p, k).value + 1)
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):
