@@ -4,9 +4,9 @@ Everything downstream (gamma sweeps, series evaluators, congruence checkers)
 works over the four scalar kinds defined here:
 
   * exact rationals      -- fractions.Fraction, used as-is
-  * PrimePowerResidue    -- a class mod p^k for an odd prime p, 1 <= k <= 6,
-                            with `*` and `**` by n >= 0; the checkers do
-                            their other residue work on plain ints
+  * residues mod p^k     -- plain ints in [0, p^k) for an odd prime p,
+                            1 <= k <= 6; reduce_mod hands its class back
+                            as a PrimePowerResidue, read through `.value`
   * PadicCapped          -- p^v * unit with a tracked relative precision;
                             the format behind hyper.pfq_mod, not exported
   * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0 and exact rational
@@ -110,13 +110,12 @@ def _check_precision(k: int) -> int:
 
 @dataclass(frozen=True)
 class PrimePowerResidue:
-    """A class mod p^k, p an odd prime, 1 <= k <= 6.
+    """reduce_mod's class mod p^k, p an odd prime, 1 <= k <= 6.
 
-    The stored value is always normalized to [0, p^k).  It carries what the
-    reports print and compare: `==`, `*` (by a residue of the same (p, k) or
-    a plain int, on either side) and `**` by an integer n >= 0.  Mixing
-    moduli is a bug, not a coercion opportunity.  Sums, negation and
-    inverses are taken on `.value` ints mod `.modulus`.
+    The stored value is always normalized to [0, p^k).  Besides `.value`
+    and `==` it offers only `*`, by a residue of the same (p, k) or a plain
+    int, on either side; mixing moduli is a bug, not a coercion
+    opportunity.  Every other residue computation runs on `.value` ints.
     """
 
     p: int
@@ -128,10 +127,6 @@ class PrimePowerResidue:
             raise ValueError(f"modulus base must be an odd prime, got {self.p}")
         _check_precision(self.k)
         object.__setattr__(self, "value", self.value % self.p**self.k)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.k
 
     def _coerce(self, other) -> "PrimePowerResidue":
         if isinstance(other, PrimePowerResidue):
@@ -151,14 +146,6 @@ class PrimePowerResidue:
         return PrimePowerResidue(self.p, self.k, self.value * o.value)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PrimePowerResidue":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return PrimePowerResidue(self.p, self.k, pow(self.value, n, self.modulus))
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def reduce_mod(x: RationalLike, p: int, k: int) -> PrimePowerResidue:
@@ -285,11 +272,12 @@ class PadicCapped:
         # with: the sum lies in p^n Z_p and nothing more is known.
         return PadicCapped(p, n, 0, 0)
 
-    def residue(self, k: int) -> PrimePowerResidue:
-        """The class mod p^k, if the digits in hand pin it down."""
+    def residue(self, k: int) -> int:
+        """The class mod p^k as an int in [0, p^k), if the digits in hand
+        pin it down."""
         _check_precision(k)
         if self.valuation >= k:
-            return PrimePowerResidue(self.p, k, 0)
+            return 0
         if self.valuation < 0:
             raise PrecisionExhausted(
                 f"valuation {self.valuation} < 0: not a {self.p}-adic integer"
@@ -299,7 +287,7 @@ class PadicCapped:
                 f"value known mod {self.p}^{self.abs_precision}, "
                 f"residue mod {self.p}^{k} requested"
             )
-        return PrimePowerResidue(self.p, k, self.p**self.valuation * self.unit)
+        return self.p**self.valuation * self.unit % self.p**k
 
 
 @dataclass(frozen=True)

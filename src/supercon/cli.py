@@ -130,8 +130,7 @@ def cmd_verify(args) -> int:
 def cmd_gamma(args) -> int:
     x = _parse_rational(args.x)
     rep = reduce_mod(x, args.p, args.k).value
-    value = gamma_p(x, args.p, args.k)
-    print(f"{value.value} (m={rep})")
+    print(f"{gamma_p(x, args.p, args.k)} (m={rep})")
     return 0
 
 
@@ -151,7 +150,7 @@ def cmd_pfq(args) -> int:
     text = f"{exact}\n"
     if args.p is not None:
         residue = _series_class(spec, args.p, args.k, exact)
-        text += f"{residue.value} (mod {residue.modulus})\n"
+        text += f"{residue} (mod {args.p**args.k})\n"
     sys.stdout.write(text)
     return 0
 

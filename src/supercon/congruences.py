@@ -8,9 +8,10 @@ compare, and wrap the outcome in a CongruenceReport.  A violated congruence
 is a result, not an exception; only internal inconsistencies (the two left
 side routes disagreeing) abort, because those mean the evaluator is broken.
 
-Right sides of the form p^t * (product of gamma values) mod p^N evaluate
-the gamma factors at precision N - t and lift: the explicit p^t prefactor
-supplies the missing digits.
+Both sides of a residue check are plain ints in [0, p^N).  Right sides of
+the form p^t * (product of gamma values) mod p^N evaluate the gamma factors
+at precision N - t and lift: the explicit p^t prefactor supplies the
+missing digits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from random import Random
 from .arith import (
     OMEGA,
     CycloElem,
-    PrimePowerResidue,
     check_odd_prime,
     cyclo_reduce,
     reduce_mod,
@@ -107,8 +107,9 @@ def _require_p5(p: int) -> int:
 
 def _series_class(
     spec: PfqSpec, p: int, k: int, exact: Fraction | None = None
-) -> PrimePowerResidue:
-    """Left-side evaluator used by every residue check, dual-route.
+) -> int:
+    """Left-side evaluator used by every residue check, dual-route; the
+    class mod p^k as an int in [0, p^k).
 
     The capped-p-adic route is the answer; the exact rational route is the
     oracle, evaluated here unless the caller already holds pfq_exact(spec).
@@ -117,11 +118,10 @@ def _series_class(
     """
     global oracle_comparisons
     fast = pfq_mod(spec, p, k)
-    exact = reduce_mod(pfq_exact(spec) if exact is None else exact, p, k)
+    exact = reduce_mod(pfq_exact(spec) if exact is None else exact, p, k).value
     if fast != exact:
         raise OracleMismatch(
-            f"modular evaluator gave {fast.value}, exact oracle {exact.value} "
-            f"mod {p}^{k}"
+            f"modular evaluator gave {fast}, exact oracle {exact} mod {p}^{k}"
         )
     oracle_comparisons += 1
     return fast
@@ -151,7 +151,7 @@ def verify_kilbourn(p: int) -> CongruenceReport:
     check_odd_prime(p)
     spec = PfqSpec((_HALF,) * 4, (1, 1, 1), 1, (p - 1) // 2)
     lhs = _series_class(spec, p, 3)
-    rhs = reduce_mod(a_p(p, eta_product_qexp(p)), p, 3)
+    rhs = reduce_mod(a_p(p, eta_product_qexp(p)), p, 3).value
     return _report("kilbourn-1.1", p, {}, 3, lhs, rhs, t0)
 
 
@@ -164,7 +164,7 @@ def verify_zudilin(p: int) -> CongruenceReport:
     )
     lhs = _series_class(spec, p, 3)
     sign = -1 if (p - 1) // 2 % 2 else 1
-    rhs = reduce_mod(sign * p, p, 3)
+    rhs = reduce_mod(sign * p, p, 3).value
     return _report("zudilin-1.2", p, {}, 3, lhs, rhs, t0)
 
 
@@ -189,15 +189,12 @@ def verify_long_ramakrishna(p: int) -> CongruenceReport:
         (third,) * 6 + (Fraction(7, 6),), (1,) * 5 + (Fraction(1, 6),), 1, p - 1
     )
     lhs = _series_class(spec, p, 6)
-    p6 = p**6
     if p % 6 == 1:
-        g = gamma_p(third, p, 5)
-        val = -p * pow(g.value, 9, p**5) % p6
+        lift, unit = p, pow(gamma_p(third, p, 5), 9, p**5)
     else:
-        g = gamma_p(third, p, 2)
-        unit = reduce_mod(Fraction(10, 27), p, 2) * g**9
-        val = -(p**4) * unit.value % p6
-    rhs = PrimePowerResidue(p, 6, val)
+        g9 = pow(gamma_p(third, p, 2), 9, p**2)
+        lift, unit = p**4, reduce_mod(Fraction(10, 27), p, 2).value * g9
+    rhs = -lift * unit % p**6
     return _report("long-ramakrishna-p6", p, {}, 6, lhs, rhs, t0)
 
 
@@ -230,20 +227,21 @@ def _main_rhs_args(alpha: Fraction) -> tuple:
     )
 
 
-def _gamma_product_rhs(p: int, sign: int, factors) -> PrimePowerResidue:
-    """sign * p * prod Gamma_p(a)^e over the (a, e) factors, mod p^3.
+def _gamma_product_rhs(p: int, sign: int, factors) -> int:
+    """sign * p * prod Gamma_p(a)^e over the (a, e) factors, as an int in
+    [0, p^3).
 
     Zero unless p = 1 (mod 4).  Gamma factors are read at precision 2; the
     leading p supplies the third digit.
     """
     if p % 4 != 1:
-        return PrimePowerResidue(p, 3, 0)
+        return 0
     batch = GammaBatch(p, 2).add_all(a for a, _ in factors).run()
     p2 = p * p
     unit = 1
     for a, e in factors:
         unit = unit * pow(batch.value(a), e, p2) % p2
-    return PrimePowerResidue(p, 3, sign * p * unit)
+    return sign * p * unit % p**3
 
 
 def _quarter_sign(p: int) -> int:
@@ -251,8 +249,8 @@ def _quarter_sign(p: int) -> int:
     return -1 if (p + 3) // 4 % 2 else 1
 
 
-def _main_rhs(p: int, alpha: Fraction) -> PrimePowerResidue:
-    """Signed p times the eight-factor gamma product, as a class mod p^3."""
+def _main_rhs(p: int, alpha: Fraction) -> int:
+    """Signed p times the eight-factor gamma product, as an int in [0, p^3)."""
     return _gamma_product_rhs(p, _quarter_sign(p), _main_rhs_args(alpha))
 
 
@@ -398,7 +396,7 @@ def verify_ff3(p: int, alpha) -> CongruenceReport:
     alpha = Fraction(alpha)
     alpha_window_residue(alpha, p)
     lhs = cyclo_reduce(gs_rhs(ff_point(p, alpha)), p, 3)
-    rhs = CycloElem(_main_rhs(p, alpha).value, 0)
+    rhs = CycloElem(_main_rhs(p, alpha), 0)
     return _report("ff-3.3", p, {"alpha": str(alpha)}, 3, lhs, rhs, t0)
 
 
@@ -489,8 +487,7 @@ def verify_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceRe
     ok &= g(half) ** 2 % pk == (minus_one if (p + 1) // 2 % 2 else 1)
 
     params = {"samples": str(samples), "seed": str(seed)}
-    rhs = PrimePowerResidue(p, k, -1)
-    return _report("gamma-laws", p, params, k, g(1), rhs, t0, ok)
+    return _report("gamma-laws", p, params, k, g(1), minus_one, t0, ok)
 
 
 # ---------------------------------------------------------------------------

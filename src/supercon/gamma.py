@@ -25,18 +25,12 @@ O(p^k) units of the plain product (Morita 1975).
 
 GammaBatch answers a set of arguments from one set of tables and reads each
 value back as a plain int in [0, p^k); gamma_p is the one-argument call and
-returns that int as a PrimePowerResidue.
+returns the same int.
 """
 
 from __future__ import annotations
 
-from .arith import (
-    PrimePowerResidue,
-    RationalLike,
-    _check_precision,
-    check_odd_prime,
-    reduce_mod,
-)
+from .arith import RationalLike, _check_precision, check_odd_prime, reduce_mod
 
 
 def _substitute(poly: list, p: int, u: int, k: int, pk: int) -> list:
@@ -91,9 +85,10 @@ def _eval(poly: list, s: int, pk: int) -> int:
     return acc
 
 
-def gamma_p(x: RationalLike, p: int, k: int) -> PrimePowerResidue:
-    """G_p(x) mod p^k for x in Z_p (denominator must be a p-unit)."""
-    return PrimePowerResidue(p, k, GammaBatch(p, k).add(x).run().value(x))
+def gamma_p(x: RationalLike, p: int, k: int) -> int:
+    """G_p(x) mod p^k as an int in [0, p^k), for x in Z_p (denominator must
+    be a p-unit)."""
+    return GammaBatch(p, k).add(x).run().value(x)
 
 
 class GammaBatch:

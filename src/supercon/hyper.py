@@ -9,12 +9,13 @@ never by rebuilding Pochhammers, so an n-term truncation costs O(n) ring
 operations.  The exact route carries the term and the sum as numerators
 over one shared denominator, all integers (or Q(w) elements with integer
 coordinates), and forms the quotient once at the end; pfq_mod forms each
-term ratio as one exact integer quotient and embeds it once as a capped
-p-adic number.  A zero among the upper factors kills every later term (the
-series has terminated); a zero among the lower factors while terms are
-still live is a genuine pole and raises PoleInRange.  The dead-series
-check runs first, so a terminating series with a harmless lower zero
-beyond its support still evaluates.
+term ratio as one exact integer quotient, embeds it once as a capped p-adic
+number, and returns the sum's class mod p^k as a plain int in [0, p^k).
+A zero among the upper factors kills every later term (the series has
+terminated); a zero among the lower factors while terms are still live is
+a genuine pole and raises PoleInRange.  The dead-series check runs first,
+so a terminating series with a harmless lower zero beyond its support
+still evaluates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .arith import (
     CycloElem,
     OMEGA,
     PadicCapped,
-    PrimePowerResidue,
     check_odd_prime,
     least_residue,
     _as_fraction,
@@ -114,8 +114,9 @@ def pfq_exact(spec: PfqSpec) -> Param:
     return Fraction(1) * total / shared  # int / int would be a float
 
 
-def pfq_mod(spec: PfqSpec, p: int, k: int) -> PrimePowerResidue:
-    """The truncated sum's class mod p^k, carried in capped p-adic arithmetic.
+def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
+    """The truncated sum's class mod p^k as an int in [0, p^k), carried in
+    capped p-adic arithmetic.
 
     Rational parameters only: any CycloElem entry is a TypeError, even at
     n = 0.  Each term's ratio to the one before is formed exactly, as one

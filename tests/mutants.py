@@ -3,21 +3,25 @@
 
     python3 tests/mutants.py
 
-Copies src/, tests/ and pyproject.toml into a temporary directory (the
-copy's pyproject puts its own src/ first on the path), checks that the
-unmutated copy passes every named test, then applies one mutant at a time
-(an exact text replacement in one source file) and runs only that mutant's
-tests.  Exits 1 if the unmutated copy fails, if a mutant's old text is not
-found exactly once, or if a mutant survives.  Not collected by pytest.
+Copies src/, tests/ and pyproject.toml into one temporary directory per
+CPU, at most one per mutant (each copy's pyproject puts its own src/ first
+on the path).  The copies first run every named test unmutated, then take
+one mutant each as they come free: an exact text replacement in one source
+file, a fresh `python -m pytest` on only that mutant's tests, and the file
+restored.  Results print in MUTANTS order and count only if the unmutated
+runs pass.  Exits 1 if the unmutated copy fails, if a mutant's old text is
+not found exactly once, or if a mutant survives.  Not collected by pytest.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +94,16 @@ MUTANTS = (
     ("ff-3.3: alpha shifted by one", _CONG,
      "gs_rhs(ff_point(p, alpha))", "gs_rhs(ff_point(p, alpha + 1))",
      ["tests/test_congruences.py::test_ff3_matches_hand_built_quotient"]),
+    ("gamma product rhs: the mod p^3 reduction dropped", _CONG,
+     "return sign * p * unit % p**3", "return sign * p * unit",
+     ["tests/test_congruences.py::test_mccarthy_osburn_rhs_needs_gamma_mod_p2_only"]),
+    ("long-ramakrishna: the mod p^6 reduction dropped", _CONG,
+     "rhs = -lift * unit % p**6", "rhs = -lift * unit",
+     ["tests/test_congruences.py::test_long_ramakrishna_both_classes"]),
+    ("capped route: residue not reduced mod p^k", _ARITH,
+     "self.p**self.valuation * self.unit % self.p**k",
+     "self.p**self.valuation * self.unit",
+     ["tests/test_arith.py::TestPadicCapped::test_from_rational_splits_valuation"]),
 )
 
 
@@ -105,31 +119,64 @@ def _pytest(work: Path, nodes: list[str]) -> bool:
     return done.returncode == 0
 
 
+def _copy_tree(work: Path) -> Path:
+    shutil.copytree(ROOT / "src", work / "src")
+    shutil.copytree(ROOT / "tests", work / "tests")
+    shutil.copy(ROOT / "pyproject.toml", work)
+    return work
+
+
+def _clean(copies: queue.Queue, nodes: list[str]) -> bool:
+    """Run some of the named tests in a free, unmutated copy."""
+    work = copies.get()
+    try:
+        return _pytest(work, nodes)
+    finally:
+        copies.put(work)
+
+
+def _try(copies: queue.Queue, mutant) -> str:
+    """Apply one mutant in a free copy, run its tests, restore the copy."""
+    name, rel, old, new, nodes = mutant
+    work = copies.get()
+    try:
+        path = work / rel
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"MISSING  {name}: old text found {text.count(old)} times"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        try:
+            survived = _pytest(work, nodes)
+        finally:
+            path.write_text(text, encoding="utf-8")
+        return f"{'SURVIVED' if survived else 'killed  '} {name}"
+    finally:
+        copies.put(work)
+
+
 def main() -> int:
+    workers = min(os.cpu_count() or 1, len(MUTANTS))
+    every = sorted({n for *_, nodes in MUTANTS for n in nodes})
+    chunks = [every[i::workers] for i in range(min(workers, len(every)))]
     with tempfile.TemporaryDirectory(prefix="supercon-mutants-") as tmp:
-        work = Path(tmp)
-        shutil.copytree(ROOT / "src", work / "src")
-        shutil.copytree(ROOT / "tests", work / "tests")
-        shutil.copy(ROOT / "pyproject.toml", work)
-        every = sorted({n for *_, nodes in MUTANTS for n in nodes})
-        if not _pytest(work, every):
-            print("unmutated copy fails its tests", file=sys.stderr)
-            return 1
-        bad = 0
-        for name, rel, old, new, nodes in MUTANTS:
-            path = work / rel
-            text = path.read_text(encoding="utf-8")
-            if text.count(old) != 1:
-                print(f"MISSING  {name}: old text found {text.count(old)} times")
-                bad += 1
-                continue
-            path.write_text(text.replace(old, new), encoding="utf-8")
-            try:
-                survived = _pytest(work, nodes)
-            finally:
-                path.write_text(text, encoding="utf-8")
-            print(f"{'SURVIVED' if survived else 'killed  '} {name}")
-            bad += survived
+        copies = queue.Queue()
+        for i in range(workers):
+            copies.put(_copy_tree(Path(tmp) / str(i)))
+        with ThreadPoolExecutor(workers) as pool:
+            # The unmutated runs are queued first; mutants take each copy
+            # as it comes free, and their results count only if those pass.
+            clean = [pool.submit(_clean, copies, nodes) for nodes in chunks]
+            tried = [pool.submit(_try, copies, mutant) for mutant in MUTANTS]
+            if not all([future.result() for future in clean]):
+                for future in tried:
+                    future.cancel()
+                print("unmutated copy fails its tests", file=sys.stderr)
+                return 1
+            bad = 0
+            for future in tried:
+                line = future.result()
+                print(line, flush=True)
+                bad += not line.startswith("killed")
         print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
         return 1 if bad else 0
 

@@ -16,7 +16,6 @@ import pytest
 import supercon
 import supercon.cli as cli
 import supercon.congruences as congruences
-from supercon.arith import PrimePowerResidue
 from supercon.cli import main
 from supercon.congruences import CongruenceReport, SweepConfig, sweep
 from supercon.errors import PrecisionExhausted
@@ -139,7 +138,7 @@ def test_pfq_refuses_a_residue_it_cannot_certify(argv, capsys):
 def test_pfq_residue_is_checked_against_the_exact_route(monkeypatch, capsys):
     def wrong_pfq_mod(spec, p, k):
         exact = congruences.reduce_mod(congruences.pfq_exact(spec), p, k)
-        return PrimePowerResidue(p, k, exact.value + 1)
+        return (exact.value + 1) % p**k
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     argv = ["pfq", "--upper", "1/2", "--lower", "1", "--n", "3", "--p", "5", "--k", "2"]
@@ -151,7 +150,7 @@ def test_pfq_residue_is_checked_against_the_exact_route(monkeypatch, capsys):
 def test_verify_oracle_mismatch_exits_three(monkeypatch, capsys):
     def wrong_pfq_mod(spec, p, k):
         exact = congruences.reduce_mod(congruences.pfq_exact(spec), p, k)
-        return PrimePowerResidue(p, k, exact.value + 1)
+        return (exact.value + 1) % p**k
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     argv = ["verify", "--id", "zudilin-1.2", "--primes", "5,7", "--jobs", "1"]

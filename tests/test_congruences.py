@@ -14,7 +14,6 @@ import supercon.congruences as congruences
 from supercon.arith import (
     OMEGA,
     CycloElem,
-    PrimePowerResidue,
     cyclo_reduce,
     least_residue,
     primes_in,
@@ -84,6 +83,20 @@ def test_report_record_shape():
     assert exact.modulus == "exact"
 
 
+def test_residue_reports_lie_in_zero_to_modulus():
+    """Every residue report of a whole-catalog sweep prints representatives
+    in [0, p^k): a plain int, or both coordinates of an element of Z[w]."""
+    rep = re.compile(r"(\d+)(?: \+ (\d+)\*w)?")
+    reports = [r for r in sweep(SweepConfig(primes=primes_in(5, 29))) if r.k]
+    assert {r.id for r in reports} == set(CATALOG) - {"gs-2.6", "ff-3.1"}
+    for r in reports:
+        modulus = r.p**r.k
+        for side in (r.lhs, r.rhs):
+            m = rep.fullmatch(side)
+            assert m, (r.id, r.p, side)
+            assert all(int(c) < modulus for c in m.groups() if c), (r.id, r.p, side)
+
+
 def test_kilbourn_small_primes():
     r3 = verify_kilbourn(3)
     assert r3.holds and r3.lhs == "23"
@@ -110,7 +123,7 @@ def test_mccarthy_osburn_rhs_needs_gamma_mod_p2_only():
     """-p * Gamma_p(3/4)^-4 mod p^3 is unchanged when Gamma is read mod p^2."""
     for p in primes_in(5, 97):
         if p % 4 == 1:
-            old = -p * pow(gamma_p(F(3, 4), p, 3).value, -4, p**3) % p**3
+            old = -p * pow(gamma_p(F(3, 4), p, 3), -4, p**3) % p**3
             assert verify_mccarthy_osburn(p).rhs == str(old), p
 
 
@@ -357,10 +370,11 @@ def test_gamma_laws_checker():
 
 
 def reference_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> CongruenceReport:
-    """The gamma-laws checker on PrimePowerResidue objects, as it was before
-    its laws moved to integer representatives; kept as the reference.  Each
-    quotient G(b) / G(a) = c is checked as G(b) == c * G(a) (Gamma_p values
-    are units), and the third difference on the values' ints.
+    """The gamma-laws checker on exact rational arguments, as it was before
+    its laws moved to precomputed integer representatives; kept as the
+    reference.  Each argument is read through GammaBatch.value as an exact
+    rational, and each quotient G(b) / G(a) = c is checked as
+    G(b) == c * G(a) mod p^k (Gamma_p values are units).
     """
     t0 = time.perf_counter()
     _require_p5(p)
@@ -400,30 +414,27 @@ def reference_gamma_laws(p: int, samples: int = 100, seed: int = 0) -> Congruenc
     for a in diffs:
         for m in range(4):
             batch.add(a + m * p)
-    batch.run()
+    g = batch.run().value
+    pk = p**k
 
-    def g(x) -> PrimePowerResidue:
-        return PrimePowerResidue(p, k, batch.value(x))
-
-    minus_one = PrimePowerResidue(p, k, -1)
-    one = PrimePowerResidue(p, k, 1)
-    ok = g(1) == minus_one and g(0) == one
+    minus_one = pk - 1
+    ok = g(1) == minus_one and g(0) == 1
     for x in refl:
-        expect = minus_one if residue_rep(x, p) % 2 else one
-        ok &= g(x) * g(1 - x) == expect
+        expect = minus_one if residue_rep(x, p) % 2 else 1
+        ok &= g(x) * g(1 - x) % pk == expect
     for x in shift:
         if vp(x, p) == 0:
-            ok &= g(x + 1) == minus_one * reduce_mod(x, p, k) * g(x)
+            ok &= g(x + 1) == minus_one * reduce_mod(x, p, k).value * g(x) % pk
         else:
-            ok &= g(x + 1) == minus_one * g(x)
+            ok &= g(x + 1) == minus_one * g(x) % pk
     for a, n in poch:  # (a)_n = (-1)^n G(a + n) / G(a), G(a) a unit
-        direct = reduce_mod(pochhammer(a, n), p, k)
-        ok &= direct * g(a) == minus_one**n * g(a + n)
+        direct = reduce_mod(pochhammer(a, n), p, k).value
+        ok &= direct * g(a) % pk == pow(minus_one, n, pk) * g(a + n) % pk
     for a in diffs:
-        vals = [g(a + m * p).value for m in range(4)]
-        ok &= (vals[0] - 3 * vals[1] + 3 * vals[2] - vals[3]) % p**k == 0
-    ok &= g(Fraction(p, 4)) == minus_one * g(1 + Fraction(p, 4))
-    ok &= g(_HALF) ** 2 == (minus_one if (p + 1) // 2 % 2 else one)
+        vals = [g(a + m * p) for m in range(4)]
+        ok &= (vals[0] - 3 * vals[1] + 3 * vals[2] - vals[3]) % pk == 0
+    ok &= g(Fraction(p, 4)) == minus_one * g(1 + Fraction(p, 4)) % pk
+    ok &= pow(g(_HALF), 2, pk) == (minus_one if (p + 1) // 2 % 2 else 1)
 
     params = {"samples": str(samples), "seed": str(seed)}
     return _report("gamma-laws", p, params, 3, g(1), minus_one, t0, ok)
@@ -447,8 +458,9 @@ def _gamma_laws_outcome(monkeypatch, checker, p, samples, seed):
 
 
 def test_gamma_laws_match_reference(monkeypatch):
-    """Same report and same GammaBatch job as the residue-object checker at
-    every prime 5..173, seeds 0..3, the smallest and two usual sample sizes."""
+    """Same report and same GammaBatch job as the exact-argument reference
+    at every prime 5..173, seeds 0..3, the smallest and two usual sample
+    sizes."""
     for p in primes_in(5, 173):
         for seed in range(4):
             for samples in (3, 60, 100):
@@ -526,7 +538,7 @@ def test_oracle_mismatch_is_raised(monkeypatch):
     """A broken fast path must abort loudly, not mark the report failed."""
 
     def wrong_pfq_mod(spec, p, k):
-        return PrimePowerResidue(p, k, reduce_mod(pfq_exact(spec), p, k).value + 1)
+        return (reduce_mod(pfq_exact(spec), p, k).value + 1) % p**k
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):
@@ -535,7 +547,7 @@ def test_oracle_mismatch_is_raised(monkeypatch):
 
 def test_oracle_mismatch_escapes_sweep(monkeypatch):
     def wrong_pfq_mod(spec, p, k):
-        return PrimePowerResidue(p, k, reduce_mod(pfq_exact(spec), p, k).value + 1)
+        return (reduce_mod(pfq_exact(spec), p, k).value + 1) % p**k
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):
