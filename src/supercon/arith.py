@@ -9,9 +9,9 @@ works over the four scalar kinds defined here:
                             as a PrimePowerResidue, read through `.value`
   * PadicCapped          -- p^v * unit with a tracked relative precision;
                             the format behind hyper.pfq_mod, not exported
-  * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0 and exact rational
-                            coordinates; cyclo_reduce gives its class mod p^k
-                            as the representative with coordinates in [0, p^k)
+  * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0; coordinates are
+                            ints until a division makes Fractions; cyclo_reduce
+                            gives its class mod p^k with coordinates in [0, p^k)
 
 Valuations are computed exactly on rationals; nothing here ever rounds.
 """
@@ -290,25 +290,31 @@ class PadicCapped:
         return self.p**self.valuation * self.unit % self.p**k
 
 
+def _coordinate(x: RationalLike) -> RationalLike:
+    """A CycloElem coordinate: an int (a bool too) or else a Fraction."""
+    return int(x) if isinstance(x, int) else _as_fraction(x)
+
+
 @dataclass(frozen=True)
 class CycloElem:
     """c0 + c1*w in Q(w), w a primitive cube root of unity.
 
-    The defining relation is w^2 = -(1 + w); both coordinates are exact
-    Fractions (ints are promoted).  The ring is an integral domain whose
-    norm form c0^2 - c0*c1 + c1^2 vanishes only at zero, so division is
-    total away from zero.  Classes mod p^k are held as the representatives
+    The defining relation is w^2 = -(1 + w).  Coordinates are exact: ints
+    stay plain ints (a bool becomes one) until a division makes Fractions,
+    and anything else must be a Fraction.  The ring is an integral domain
+    whose norm form c0^2 - c0*c1 + c1^2 vanishes only at zero, so division
+    is total away from zero.  Classes mod p^k are held as the representatives
     cyclo_reduce returns.  An element on the rational axis equals, and
     hashes like, its rational, so ints, Fractions and CycloElems mix in
     arithmetic and comparison without explicit promotion.
     """
 
-    c0: Fraction
-    c1: Fraction
+    c0: RationalLike
+    c1: RationalLike
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", _as_fraction(self.c0))
-        object.__setattr__(self, "c1", _as_fraction(self.c1))
+        object.__setattr__(self, "c0", _coordinate(self.c0))
+        object.__setattr__(self, "c1", _coordinate(self.c1))
 
     def _coerce(self, other):
         if isinstance(other, CycloElem):
@@ -347,9 +353,6 @@ class CycloElem:
             return o
         return o - self
 
-    def __neg__(self):
-        return CycloElem(-self.c0, -self.c1)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -377,7 +380,7 @@ class CycloElem:
         """Image under w -> w^2 = -1 - w."""
         return CycloElem(self.c0 - self.c1, -self.c1)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> RationalLike:
         """c0^2 - c0*c1 + c1^2; multiplicative, and zero only at zero."""
         return self.c0 * self.c0 - self.c0 * self.c1 + self.c1 * self.c1
 
@@ -386,7 +389,7 @@ class CycloElem:
         if n == 0:
             raise NonInvertible("zero has no inverse")
         conj = self.conjugate()
-        return CycloElem(conj.c0 / n, conj.c1 / n)
+        return CycloElem(Fraction(conj.c0, n), Fraction(conj.c1, n))
 
     def __truediv__(self, other):
         o = self._coerce(other)

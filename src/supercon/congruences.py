@@ -89,12 +89,20 @@ def _ms(t0: float) -> float:
     return round((time.perf_counter() - t0) * 1000.0, 3)
 
 
+def _unlimited_int_str() -> None:
+    """Let str() print integers of any size: CPython caps it at 4300 digits
+    by default, which exact ff-3.1 values pass near p = 3301."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _report(
     cid: str, p: int, params: dict, k: int, lhs, rhs, t0: float, holds=None
 ) -> CongruenceReport:
     """Wrap one comparison started at t0; holds defaults to lhs == rhs."""
     if holds is None:
         holds = lhs == rhs
+    _unlimited_int_str()  # in library calls and pool workers alike
     return CongruenceReport(cid, p, params, k, str(lhs), str(rhs), holds, _ms(t0))
 
 
@@ -353,6 +361,11 @@ def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
     k up to kmax.  u and v are p-integral, so u and the three factors
     u + vp*w^i are reduced to representatives once, and both products are
     extended one k at a time and reduced again after every step.
+
+    The Z[w] product is the reported route.  At every k it is also checked
+    against the norm identity (x + y)(x + yw)(x + yw^2) = x^3 + y^3, carried
+    on plain ints as prod_j ((u+j)^3 + (vp)^3) mod p^3; disagreement is an
+    arithmetic bug and raises OracleMismatch.
     """
     t0 = time.perf_counter()
     check_odd_prime(p)
@@ -364,13 +377,20 @@ def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
         raise ValueError(f"kmax must lie in 0..{(p - 1) // 2}, got {kmax}")
     m = p**3
     u_rep = reduce_mod(u, p, 3).value
+    y3 = (v.numerator * p * pow(v.denominator, -1, m) % m) ** 3  # (vp)^3
     factors = tuple(cyclo_reduce(u + OMEGA**i * (v * p), p, 3) for i in range(3))
     lhs = rhs = CycloElem(1, 0)  # k = 0
-    plain = 1
+    plain = norm = 1
     ok = True
     for j in range(kmax):
         f0, f1, f2 = (f + j for f in factors)
         lhs = cyclo_reduce(lhs * f0 * f1 * f2, p, 3)
+        norm = norm * ((u_rep + j) ** 3 + y3) % m
+        if lhs != norm:
+            raise OracleMismatch(
+                f"Z[w] triple product gave {lhs}, norm identity {norm} "
+                f"mod {p}^3 at k={j + 1}"
+            )
         plain = plain * (u_rep + j) % m
         rhs = CycloElem(pow(plain, 3, m), 0)
         ok &= lhs == rhs
@@ -670,20 +690,13 @@ def _cells(cfg: SweepConfig) -> list[tuple[str, int]]:
     return cells
 
 
-def _unlimited_int_str() -> None:
-    """Let str() print integers of any size: CPython caps it at 4300 digits
-    by default, which exact ff-3.1 values pass near p = 3301."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
 def sweep(cfg: SweepConfig) -> list[CongruenceReport]:
     """Run every selected (id, prime) cell; deterministic report order.
 
     Cells are ordered by catalog position then prime; parameterized cells
     expand in parameter order.  Cells run in a process pool of
     min(jobs, cells, CPUs) workers when that is above one, and results are
-    still emitted in cell order.  Pool workers print integers of any size.
+    still emitted in cell order.
     """
     cfg = cfg.normalized()
     cells = _cells(cfg)
@@ -692,7 +705,7 @@ def sweep(cfg: SweepConfig) -> list[CongruenceReport]:
         from concurrent.futures import ProcessPoolExecutor
 
         cids, ps = zip(*cells)
-        with ProcessPoolExecutor(workers, initializer=_unlimited_int_str) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             chunks = list(pool.map(_run_cell, cids, ps, [cfg] * len(cells)))
     else:
         chunks = [_run_cell(cid, p, cfg) for cid, p in cells]

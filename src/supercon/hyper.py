@@ -6,9 +6,10 @@ Series are evaluated by the term ratio
     t_{k+1} = t_k * prod(a_i + k) / (prod(b_j + k) * (k+1)) * z,
 
 never by rebuilding Pochhammers, so an n-term truncation costs O(n) ring
-operations.  The exact route carries the term and the sum as numerators
-over one shared denominator, all integers (or Q(w) elements with integer
-coordinates), and forms the quotient once at the end; pfq_mod forms each
+operations.  The exact routes split each entry once, by _split, into
+r / s with integer (coordinates of) r, multiply only integers, and divide
+once at the end; pfq_exact carries the term and the sum as numerators
+over one shared denominator.  pfq_mod forms each
 term ratio as one exact integer quotient, embeds it once as a capped p-adic
 number, and returns the sum's class mod p^k as a plain int in [0, p^k).
 A zero among the upper factors kills every later term (the series has
@@ -39,14 +40,22 @@ from .errors import AlphaOutOfRange, PoleInRange
 Param = Union[int, Fraction, CycloElem]
 
 
+def _split(x: Param) -> tuple:
+    """x as (r, s) with x = r / s: s a positive int, r an int or a
+    CycloElem with int coordinates, so that x + j = (r + j*s) / s."""
+    if isinstance(x, CycloElem):
+        s = lcm(x.c0.denominator, x.c1.denominator)
+        return CycloElem(int(x.c0 * s), int(x.c1 * s)), s
+    return x.numerator, x.denominator
+
+
 def pochhammer(x: Param, n: int) -> Param:
-    """Rising factorial x(x+1)...(x+n-1); exact, over rationals or CycloElem."""
+    """Rising factorial x(x+1)...(x+n-1); exact, over rationals or CycloElem,
+    as the integer product of the r + j*s over s^n."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    out = Fraction(1)
-    for j in range(n):
-        out = out * (x + j)
-    return out
+    r, s = _split(x)
+    return Fraction(1) * prod(r + j * s for j in range(n)) / s**n
 
 
 def _param(x: Param) -> Param:
@@ -81,19 +90,11 @@ def pfq_exact(spec: PfqSpec) -> Param:
     factor enters a live term.
 
     This is the oracle route: no modular shortcut, no precision loss.  Each
-    entry splits once into r / s, r of the entry's kind with integer
-    coordinates and s a positive int, so that entry + k = (r + k*s) / s.
+    entry splits once by _split, so that entry + k = (r + k*s) / s.
     """
-
-    def split(x: Param) -> tuple:
-        if isinstance(x, CycloElem):
-            s = lcm(x.c0.denominator, x.c1.denominator)
-            return x * s, s
-        return x.numerator, x.denominator
-
-    upper = [split(a) for a in spec.upper]
-    lower = [split(b) for b in spec.lower]
-    z_num, z_den = split(spec.z)
+    upper = [_split(a) for a in spec.upper]
+    lower = [_split(b) for b in spec.lower]
+    z_num, z_den = _split(spec.z)
     num0 = z_num * prod(s for _, s in lower)
     den0 = z_den * prod(s for _, s in upper)
     term = total = shared = 1  # the term and the sum, both over shared
@@ -227,12 +228,7 @@ def gs_rhs(g: GSParams) -> Param:
     r = g.n // 2
     a, b, d = g.a, g.b, g.d
     half = Fraction(1, 2)
-    num = (
-        pochhammer(half, r)
-        * pochhammer(b + d, r)
-        * pochhammer(d - b + a + half, r)
-        * pochhammer(a + 1, r)
-    )
+    num = prod(pochhammer(x, r) for x in (half, b + d, d - b + a + half, a + 1))
     den = Fraction(1)
     for f in (b + half, a + d + half, d, a - b + 1):
         pf = pochhammer(f, r)
@@ -260,12 +256,11 @@ def alpha_window_residue(alpha: Fraction, p: int) -> int:
 def ff_point(p: int, alpha: Fraction) -> GSParams:
     """The root-of-unity point (1/4, 1/2 + alpha, (1 + w^2 p)/4, (p-1)/2).
 
-    No admissibility checks; ff1_build and the ff-3.3 checker make them.
+    a and b are rationals; only d lies in Q(w).  No admissibility checks;
+    ff1_build and the ff-3.3 checker make them.
     """
-    a = CycloElem(Fraction(1, 4), 0)
-    b = CycloElem(Fraction(1, 2) + alpha, 0)
     d = (OMEGA.conjugate() * p + 1) * Fraction(1, 4)  # w^2 = -1 - w
-    return GSParams(a, b, d, (p - 1) // 2)
+    return GSParams(Fraction(1, 4), Fraction(1, 2) + alpha, d, (p - 1) // 2)
 
 
 def ff1_build(p: int, alpha) -> tuple[CycloElem, CycloElem]:

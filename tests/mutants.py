@@ -104,6 +104,23 @@ MUTANTS = (
      "self.p**self.valuation * self.unit % self.p**k",
      "self.p**self.valuation * self.unit",
      ["tests/test_arith.py::TestPadicCapped::test_from_rational_splits_valuation"]),
+    # exact_triple_loop multiplies in CycloElem too, so only ff-3.2's norm
+    # identity route can tell this one apart
+    ("Z[w] product: w^2 read as 1 - w", _ARITH,
+     "return CycloElem(a * c - bd, a * d + b * c - bd)",
+     "return CycloElem(a * c + bd, a * d + b * c - bd)",
+     ["tests/test_congruences.py::test_ff2_matches_exact_triple_loop"]),
+    ("Z[w] inverse by floor division", _ARITH,
+     "CycloElem(Fraction(conj.c0, n), Fraction(conj.c1, n))",
+     "CycloElem(conj.c0 // n, conj.c1 // n)",
+     ["tests/test_arith.py::TestCycloElem::"
+      "test_int_coordinates_stay_int_and_match_fraction_arithmetic"]),
+    ("exact split: a Q(w) entry left unscaled", _HYPER,
+     "return CycloElem(int(x.c0 * s), int(x.c1 * s)), s", "return x, s",
+     ["tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points"]),
+    ("pochhammer: divided by s^(n - 1)", _HYPER,
+     "/ s**n", "/ s**(n - 1)",
+     ["tests/test_hyper.py::test_pochhammer_matches_fraction_accumulator"]),
 )
 
 

@@ -312,3 +312,41 @@ class TestCycloElem:
                 assert cyclo_reduce(x * y, p, k) == cyclo_reduce(rx * ry, p, k)
                 assert cyclo_reduce(x + y, p, k) == cyclo_reduce(rx + ry, p, k)
                 assert cyclo_reduce(x - y, p, k) == cyclo_reduce(rx - ry, p, k)
+
+    def test_int_coordinates_stay_int_and_match_fraction_arithmetic(self):
+        """Int-coordinate operands keep int coordinates through +, -, *, **
+        and cyclo_reduce, with the values Fraction coordinates give."""
+        rng = Random(2222)
+
+        def promoted(x):
+            return CycloElem(F(x.c0), F(x.c1))
+
+        def ops(x, y, m, n):
+            return (x + y, x - y, x * y, x**n, x + m, m + x, x - m, m - x,
+                    x * m, m * x, x.conjugate(), cyclo_reduce(x * y, 7, 3))
+
+        for _ in range(300):
+            x = CycloElem(rng.randint(-60, 60), rng.randint(-60, 60))
+            y = CycloElem(rng.randint(-60, 60), rng.randint(-60, 60))
+            m, n = rng.randint(-9, 9), rng.randint(1, 7)
+            got = ops(x, y, m, n)
+            want = ops(promoted(x), promoted(y), m, n)
+            # the reference ran on Fractions (cyclo_reduce, last, gives ints)
+            assert all(type(e.c0) is F for e in want[:-1])
+            for g, e in zip(got, want):
+                assert (type(g.c0), type(g.c1)) == (int, int), (x, y, m, n)
+                assert g == e and str(g) == str(e), (x, y, m, n)
+            assert type(x.norm()) is int and x.norm() == promoted(x).norm()
+            if x != 0:
+                inv = x.inverse()
+                assert (type(inv.c0), type(inv.c1)) == (F, F)
+                assert inv == promoted(x).inverse() and x * inv == 1
+        flag = CycloElem(True, False)
+        assert (type(flag.c0), type(flag.c1)) == (int, int) and flag == 1
+
+    def test_inverse_of_int_coordinates_is_exact(self):
+        assert CycloElem(2, 0).inverse() == CycloElem(F(1, 2), 0)
+        x = CycloElem(3, -1)  # norm 9 + 3 + 1 = 13
+        assert x.norm() == 13
+        assert x.inverse() == CycloElem(F(4, 13), F(1, 13))
+        assert 1 / x == x.inverse() and x / x == 1

@@ -195,13 +195,21 @@ def test_verify_prints_past_4300_digits(jobs, default_int_str_cap, capsys):
     assert len(rows[1]["lhs"]) > 4300
 
 
-def test_pool_workers_print_past_4300_digits(default_int_str_cap):
-    # called without cli.main, so only the pool initializer lifts the cap
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_workers_print_past_4300_digits(jobs, default_int_str_cap):
+    # called without cli.main: the reports lift the cap, serially and in
+    # pool workers alike
     ids = ("ff-3.1", "zudilin-1.2")
-    reports = sweep(SweepConfig(ids=ids, primes=(3301,), alphas=(1,), jobs=2))
+    reports = sweep(SweepConfig(ids=ids, primes=(3301,), alphas=(1,), jobs=jobs))
     assert [(r.id, r.holds, r.params) for r in reports] == [
         ("zudilin-1.2", True, {}), ("ff-3.1", True, {"alpha": "1"})
     ]
+    assert len(reports[1].lhs) > 4300
+
+
+def test_checker_prints_past_4300_digits(default_int_str_cap):
+    report = congruences.verify_ff1(3301, 1)
+    assert report.holds and len(report.lhs) > 4300
 
 
 def test_pfq_needs_both_p_and_k(capsys):

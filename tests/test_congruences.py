@@ -527,6 +527,27 @@ def test_sample_minimums_guard_the_checkers():
         verify_gamma_laws(5, samples=2)
 
 
+def test_ff2_norm_route_catches_a_planted_product_fault(monkeypatch):
+    """A wrong Z[w] product must abort ff-3.2 through the norm identity,
+    not print holds=false; the series oracle's counter does not move."""
+
+    def wrong_mul(self, other):  # w^2 read as 1 - w instead of -1 - w
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        a, b, c, d = self.c0, self.c1, o.c0, o.c1
+        return CycloElem(a * c + b * d, a * d + b * c - b * d)
+
+    assert verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
+    before = congruences.oracle_comparisons
+    monkeypatch.setattr(CycloElem, "__mul__", wrong_mul)
+    with pytest.raises(OracleMismatch, match="norm identity"):
+        verify_ff2(7, F(1, 2), F(-1, 3), 3)
+    with pytest.raises(OracleMismatch):
+        sweep(SweepConfig(ids=("ff-3.2",), primes=(7,), pairs=3))
+    assert congruences.oracle_comparisons == before
+
+
 def test_oracle_counter_moves():
     before = congruences.oracle_comparisons
     verify_zudilin(5)
@@ -600,8 +621,7 @@ class TestSweep:
         pools = []
 
         class FakePool:
-            def __init__(self, max_workers, initializer=None):
-                assert initializer is congruences._unlimited_int_str
+            def __init__(self, max_workers):
                 pools.append(max_workers)
 
             def __enter__(self):

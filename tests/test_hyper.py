@@ -6,12 +6,14 @@ from random import Random
 import pytest
 
 import supercon.congruences as congruences
+import supercon.hyper as hyper
 from supercon.arith import (
     OMEGA,
     CycloElem,
     PadicCapped,
     check_odd_prime,
     is_prime,
+    primes_in,
     reduce_mod,
     vp,
     _check_precision,
@@ -35,6 +37,7 @@ from supercon.hyper import (
     pfq_mod,
     pochhammer,
     _integer_in_window,
+    _split,
 )
 
 F = Fraction
@@ -45,6 +48,33 @@ def test_pochhammer_values():
     assert pochhammer(F(-3), 5) == 0
     assert pochhammer(F(7, 3), 0) == 1
     assert pochhammer(2, 4) == 2 * 3 * 4 * 5
+
+
+def test_split_gives_int_coordinates_over_a_positive_int():
+    assert _split(F(-3, 4)) == (-3, 4) and _split(5) == (5, 1)
+    r, s = _split(CycloElem(F(1, 2), F(-1, 3)))
+    assert (r, s) == (CycloElem(3, -2), 6)
+    assert (type(r.c0), type(r.c1)) == (int, int)
+    r, s = _split(CycloElem(F(7), 2))
+    assert (r, s) == (CycloElem(7, 2), 1) and type(r.c0) is int
+
+
+def fraction_pochhammer(x, n):
+    """Reference: the former pochhammer, one Fraction accumulator."""
+    out = Fraction(1)
+    for j in range(n):
+        out = out * (x + j)
+    return out
+
+
+def test_pochhammer_matches_fraction_accumulator():
+    rng = Random(1717)
+    for _ in range(300):
+        c = F(rng.randint(-20, 20), rng.randint(1, 9))
+        x = rng.choice((c, CycloElem(c, F(rng.randint(-9, 9), rng.randint(1, 9)))))
+        n = rng.randint(0, 12)
+        got, want = pochhammer(x, n), fraction_pochhammer(x, n)
+        assert (got, type(got), str(got)) == (want, type(want), str(want)), (x, n)
 
 
 def test_pochhammer_cyclo_matches_rational_embedding():
@@ -579,8 +609,8 @@ class TestFF1Build:
 
     def test_point(self):
         g = ff_point(13, F(2))
-        assert all(isinstance(x, CycloElem) for x in (g.a, g.b, g.d))
-        assert (g.a, g.b, g.n) == (CycloElem(F(1, 4), F(0)), CycloElem(F(5, 2), F(0)), 6)
+        assert (type(g.a), type(g.b), type(g.d)) == (F, F, CycloElem)
+        assert (g.a, g.b, g.n) == (F(1, 4), F(5, 2), 6)
         assert g.d == (OMEGA.conjugate() * 13 + 1) * F(1, 4)
         assert g.d == CycloElem(F(-3), F(-13, 4))
         assert ff1_build(13, F(2)) == (gs_lhs(g), gs_rhs(g))
@@ -604,3 +634,32 @@ class TestFF1Build:
             ff1_build(4, F(0))
         with pytest.raises(ValueError):
             ff1_build(3, F(0))
+
+
+def wrapped_ff_point(p, alpha):
+    """Reference: the former ff_point, with a and b wrapped as CycloElem."""
+    a = CycloElem(F(1, 4), 0)
+    b = CycloElem(F(1, 2) + alpha, 0)
+    d = (OMEGA.conjugate() * p + 1) * F(1, 4)
+    return GSParams(a, b, d, (p - 1) // 2)
+
+
+def test_gs_sides_match_former_routes_at_every_admissible_alpha(monkeypatch):
+    """gs_lhs and gs_rhs at ff_point, where a and b are rationals and the
+    Pochhammers run on int coordinates, against the wrapped point with the
+    Fraction-accumulating pochhammer: value, kind and text, at every
+    admissible integer alpha for p <= 101."""
+    points = [(p, F(a)) for p in primes_in(5, 101) for a in range(p // 4 + 1)]
+    with monkeypatch.context() as m:
+        m.setattr(hyper, "pochhammer", fraction_pochhammer)
+        former = [
+            (gs_lhs(wrapped_ff_point(p, a)), gs_rhs(wrapped_ff_point(p, a)))
+            for p, a in points
+        ]
+    for (p, alpha), (lhs, rhs) in zip(points, former):
+        g = ff_point(p, alpha)
+        assert (type(g.a), type(g.b)) == (F, F)
+        got_lhs, got_rhs = gs_lhs(g), gs_rhs(g)
+        assert (got_lhs, type(got_lhs), str(got_lhs)) == (lhs, type(lhs), str(lhs))
+        assert (got_rhs, type(got_rhs), str(got_rhs)) == (rhs, type(rhs), str(rhs))
+        assert got_lhs == got_rhs, (p, alpha)
