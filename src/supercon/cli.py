@@ -299,9 +299,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    _unlimited_int_str()  # exact values can run past CPython's 4300 digits
     try:
-        return args.func(args)
+        with _unlimited_int_str():  # exact values can run past 4300 digits
+            return args.func(args)
     except OracleMismatch as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3

@@ -228,7 +228,12 @@ def gs_rhs(g: GSParams) -> Param:
     r = g.n // 2
     a, b, d = g.a, g.b, g.d
     half = Fraction(1, 2)
-    num = prod(pochhammer(x, r) for x in (half, b + d, d - b + a + half, a + 1))
+    num = (
+        pochhammer(half, r)
+        * pochhammer(b + d, r)
+        * pochhammer(d - b + a + half, r)
+        * pochhammer(a + 1, r)
+    )
     den = Fraction(1)
     for f in (b + half, a + d + half, d, a - b + 1):
         pf = pochhammer(f, r)

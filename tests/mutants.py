@@ -104,8 +104,8 @@ MUTANTS = (
      "self.p**self.valuation * self.unit % self.p**k",
      "self.p**self.valuation * self.unit",
      ["tests/test_arith.py::TestPadicCapped::test_from_rational_splits_valuation"]),
-    # exact_triple_loop multiplies in CycloElem too, so only ff-3.2's norm
-    # identity route can tell this one apart
+    # exact_triple_loop multiplies in CycloElem too, so only ff-3.2's
+    # plain-int right side (holds) can tell this one apart
     ("Z[w] product: w^2 read as 1 - w", _ARITH,
      "return CycloElem(a * c - bd, a * d + b * c - bd)",
      "return CycloElem(a * c + bd, a * d + b * c - bd)",

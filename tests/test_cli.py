@@ -171,11 +171,18 @@ def default_int_str_cap():
     sys.set_int_max_str_digits(old)
 
 
+def assert_default_int_str_cap():
+    """The cap is lifted only while values print: the host's cap stays."""
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
 def test_pfq_prints_past_4300_digits(default_int_str_cap, capsys):
     argv = ["pfq", "--upper", "1,1", "--lower", "1", "--z", "1/10", "--n", "4400"]
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert len(out) > 4400
+    assert_default_int_str_cap()
 
 
 # ff-3.1's exact value at p = 3301 runs past 4300 digits; zudilin-1.2 is a
@@ -193,6 +200,7 @@ def test_verify_prints_past_4300_digits(jobs, default_int_str_cap, capsys):
         ("zudilin-1.2", True), ("ff-3.1", True)
     ]
     assert len(rows[1]["lhs"]) > 4300
+    assert_default_int_str_cap()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -205,11 +213,13 @@ def test_pool_workers_print_past_4300_digits(jobs, default_int_str_cap):
         ("zudilin-1.2", True, {}), ("ff-3.1", True, {"alpha": "1"})
     ]
     assert len(reports[1].lhs) > 4300
+    assert_default_int_str_cap()
 
 
 def test_checker_prints_past_4300_digits(default_int_str_cap):
     report = congruences.verify_ff1(3301, 1)
     assert report.holds and len(report.lhs) > 4300
+    assert_default_int_str_cap()
 
 
 def test_pfq_needs_both_p_and_k(capsys):

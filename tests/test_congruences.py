@@ -361,6 +361,7 @@ def test_ff2_matches_exact_triple_loop():
                 assert (r.holds, r.lhs, r.rhs) == exact_triple_loop(p, u, v, kmax), (
                     p, u, v, kmax
                 )
+                assert r.holds, (p, u, v, kmax)
 
 
 def test_gamma_laws_checker():
@@ -527,9 +528,9 @@ def test_sample_minimums_guard_the_checkers():
         verify_gamma_laws(5, samples=2)
 
 
-def test_ff2_norm_route_catches_a_planted_product_fault(monkeypatch):
-    """A wrong Z[w] product must abort ff-3.2 through the norm identity,
-    not print holds=false; the series oracle's counter does not move."""
+def test_ff2_reports_a_planted_product_fault(monkeypatch):
+    """A wrong Z[w] product reads holds=false against ff-3.2's plain-int
+    right side, in the checker and in a sweep."""
 
     def wrong_mul(self, other):  # w^2 read as 1 - w instead of -1 - w
         o = self._coerce(other)
@@ -539,13 +540,12 @@ def test_ff2_norm_route_catches_a_planted_product_fault(monkeypatch):
         return CycloElem(a * c + b * d, a * d + b * c - b * d)
 
     assert verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
-    before = congruences.oracle_comparisons
     monkeypatch.setattr(CycloElem, "__mul__", wrong_mul)
-    with pytest.raises(OracleMismatch, match="norm identity"):
-        verify_ff2(7, F(1, 2), F(-1, 3), 3)
-    with pytest.raises(OracleMismatch):
-        sweep(SweepConfig(ids=("ff-3.2",), primes=(7,), pairs=3))
-    assert congruences.oracle_comparisons == before
+    assert not verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
+    reports = sweep(SweepConfig(ids=("ff-3.2",), primes=(7,), pairs=3))
+    # a draw with v = 0 stays on the rational axis, where the fault is silent
+    assert [r.holds for r in reports] == [r.params["v"] == "0" for r in reports]
+    assert not all(r.holds for r in reports)
 
 
 def test_oracle_counter_moves():
