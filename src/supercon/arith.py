@@ -11,7 +11,8 @@ works over the four scalar kinds defined here:
                             the format behind hyper.pfq_mod, not exported
   * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0; coordinates are
                             ints until a division makes Fractions; cyclo_reduce
-                            gives its class mod p^k with coordinates in [0, p^k)
+                            gives its class mod p^k with coordinates in [0, p^k);
+                            _zw_mul, its product, also runs on bare int pairs
 
 Valuations are computed exactly on rationals; nothing here ever rounds.
 """
@@ -290,6 +291,12 @@ class PadicCapped:
         return self.p**self.valuation * self.unit % self.p**k
 
 
+def _zw_mul(a, b, c, d):
+    """(a + b*w)(c + d*w) as a pair (c0, c1), with w^2 = -1 - w."""
+    bd = b * d
+    return a * c - bd, a * d + b * c - bd
+
+
 def _coordinate(x: RationalLike) -> RationalLike:
     """A CycloElem coordinate: an int (a bool too) or else a Fraction."""
     return int(x) if isinstance(x, int) else _as_fraction(x)
@@ -357,24 +364,9 @@ class CycloElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        # (a + b*w)(c + d*w) with w^2 = -1 - w
-        a, b, c, d = self.c0, self.c1, o.c0, o.c1
-        bd = b * d
-        return CycloElem(a * c - bd, a * d + b * c - bd)
+        return CycloElem(*_zw_mul(self.c0, self.c1, o.c0, o.c1))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CycloElem":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = CycloElem(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def conjugate(self) -> "CycloElem":
         """Image under w -> w^2 = -1 - w."""

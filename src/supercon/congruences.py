@@ -25,8 +25,8 @@ from fractions import Fraction
 from random import Random
 
 from .arith import (
-    OMEGA,
     CycloElem,
+    _zw_mul,
     check_odd_prime,
     cyclo_reduce,
     reduce_mod,
@@ -365,14 +365,15 @@ def verify_ff1(p: int, alpha) -> CongruenceReport:
 
 
 def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
-    """Triple-product congruence in Z[w], carried on representatives mod p^3.
+    """Triple-product congruence in Z[w], carried on int pairs mod p^3.
 
     Checks (u+vp)_k (u+vpw)_k (u+vpw^2)_k against (u)_k^3 mod p^3 for every
-    k up to kmax.  u and v are p-integral, so u and the three factors
-    u + vp*w^i are reduced to representatives once, and both products are
-    extended one k at a time and reduced again after every step.  The right
-    side is plain ints, so a Z[w] product fault reads holds=false; the sides
-    agree as (x + y)(x + yw)(x + yw^2) = x^3 + y^3 and (vp)^3 = 0 mod p^3.
+    k up to kmax.  x = u and y = vp are p-integral and reduced once; step j
+    multiplies the pair (a, b) = a + b*w by x+j+y*w^i, written out as int
+    pairs, through arith's product rule, and reduces mod p^3 after each
+    product.  The right side is plain ints, so a Z[w] product fault reads
+    holds=false; the sides agree as (x + y)(x + yw)(x + yw^2) = x^3 + y^3
+    and (vp)^3 = 0 mod p^3.
     """
     t0 = time.perf_counter()
     check_odd_prime(p)
@@ -383,17 +384,19 @@ def verify_ff2(p: int, u, v, kmax: int) -> CongruenceReport:
     if not 0 <= kmax <= (p - 1) // 2:
         raise ValueError(f"kmax must lie in 0..{(p - 1) // 2}, got {kmax}")
     m = p**3
-    u_rep = reduce_mod(u, p, 3).value
-    factors = tuple(cyclo_reduce(u + OMEGA**i * (v * p), p, 3) for i in range(3))
-    lhs = rhs = CycloElem(1, 0)  # k = 0
-    plain = 1
+    x = reduce_mod(u, p, 3).value
+    y = reduce_mod(v * p, p, 3).value
+    a, b, plain, cube = 1, 0, 1, 1  # k = 0
     ok = True
     for j in range(kmax):
-        f0, f1, f2 = (f + j for f in factors)
-        lhs = cyclo_reduce(lhs * f0 * f1 * f2, p, 3)
-        plain = plain * (u_rep + j) % m
-        rhs = CycloElem(pow(plain, 3, m), 0)
-        ok &= lhs == rhs
+        s = x + j
+        for c, d in ((s + y, 0), (s, y), (s - y, -y)):
+            a, b = _zw_mul(a, b, c, d)
+            a, b = a % m, b % m
+        plain = plain * s % m
+        cube = pow(plain, 3, m)
+        ok &= (a, b) == (cube, 0)
+    lhs, rhs = CycloElem(a, b), CycloElem(cube, 0)
     params = {"u": str(u), "v": str(v), "kmax": str(kmax)}
     return _report("ff-3.2", p, params, 3, lhs, rhs, t0, ok)
 

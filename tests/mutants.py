@@ -36,6 +36,7 @@ _EXACT = [
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_catalog_specs",
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points",
 ]
+_FF2 = ["tests/test_congruences.py::test_ff2_matches_cyclo_elem_triple_loop"]
 _MOD = [  # the quick one first: pytest -x stops at the first failure
     "tests/test_hyper.py::test_pfq_mod_zero_z_still_meets_a_later_pole",
     "tests/test_hyper.py::test_pfq_mod_matches_factor_route_on_catalog_specs",
@@ -89,8 +90,15 @@ MUTANTS = (
      "Fraction(10, 27)", "Fraction(10, 9)",
      ["tests/test_congruences.py::test_long_ramakrishna_both_classes"]),
     ("ff-3.2: a wrong factor in the triple product", _CONG,
-     "lhs * f0 * f1 * f2", "lhs * f0 * f1 * f1",
+     "(s, y), (s - y, -y))", "(s, y), (s, y))",
      ["tests/test_congruences.py::test_ff2_matches_exact_triple_loop"]),
+    ("ff-3.2: the w^2 factor's -y read as +y", _CONG,
+     "(s - y, -y)", "(s - y, y)", _FF2),
+    ("ff-3.2: b not reduced mod p^3", _CONG,
+     "a, b = a % m, b % m", "a, b = a % m, b", _FF2),
+    ("ff-3.2: v's p-integrality unchecked", _CONG,
+     '(("u", u), ("v", v))', '(("u", u),)',
+     ["tests/test_congruences.py::test_ff2_inputs"]),
     ("ff-3.3: alpha shifted by one", _CONG,
      "gs_rhs(ff_point(p, alpha))", "gs_rhs(ff_point(p, alpha + 1))",
      ["tests/test_congruences.py::test_ff3_matches_hand_built_quotient"]),
@@ -104,11 +112,11 @@ MUTANTS = (
      "self.p**self.valuation * self.unit % self.p**k",
      "self.p**self.valuation * self.unit",
      ["tests/test_arith.py::TestPadicCapped::test_from_rational_splits_valuation"]),
-    # exact_triple_loop multiplies in CycloElem too, so only ff-3.2's
-    # plain-int right side (holds) can tell this one apart
+    # exact_triple_loop multiplies through the same product rule, so only
+    # ff-3.2's plain-int right side (holds) can tell this one apart
     ("Z[w] product: w^2 read as 1 - w", _ARITH,
-     "return CycloElem(a * c - bd, a * d + b * c - bd)",
-     "return CycloElem(a * c + bd, a * d + b * c - bd)",
+     "return a * c - bd, a * d + b * c - bd",
+     "return a * c + bd, a * d + b * c - bd",
      ["tests/test_congruences.py::test_ff2_matches_exact_triple_loop"]),
     ("Z[w] inverse by floor division", _ARITH,
      "CycloElem(Fraction(conj.c0, n), Fraction(conj.c1, n))",

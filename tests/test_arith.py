@@ -227,7 +227,9 @@ class TestCycloElem:
         assert zero == CycloElem(F(0), F(0))
 
     def test_cube_is_one(self):
-        assert OMEGA ** 3 == CycloElem(F(1), F(0))
+        assert OMEGA * OMEGA * OMEGA == CycloElem(F(1), F(0))
+        with pytest.raises(TypeError):  # no **: powers are written as products
+            OMEGA ** 3
 
     def test_conjugate_is_the_other_root(self):
         w2 = OMEGA.conjugate()
@@ -255,11 +257,6 @@ class TestCycloElem:
         assert (x / x) == CycloElem(F(1), F(0))
         with pytest.raises(NonInvertible):
             CycloElem(F(0), F(0)).inverse()
-
-    def test_pow(self):
-        x = CycloElem(F(1), F(2))
-        assert x ** 5 == x * x * x * x * x
-        assert x ** 0 == CycloElem(F(1), F(0))
 
     def test_cyclo_reduce_is_coordinatewise(self):
         x = CycloElem(F(1, 2), F(-1, 3))
@@ -314,28 +311,28 @@ class TestCycloElem:
                 assert cyclo_reduce(x - y, p, k) == cyclo_reduce(rx - ry, p, k)
 
     def test_int_coordinates_stay_int_and_match_fraction_arithmetic(self):
-        """Int-coordinate operands keep int coordinates through +, -, *, **
-        and cyclo_reduce, with the values Fraction coordinates give."""
+        """Int-coordinate operands keep int coordinates through +, -, * and
+        cyclo_reduce, with the values Fraction coordinates give."""
         rng = Random(2222)
 
         def promoted(x):
             return CycloElem(F(x.c0), F(x.c1))
 
-        def ops(x, y, m, n):
-            return (x + y, x - y, x * y, x**n, x + m, m + x, x - m, m - x,
+        def ops(x, y, m):
+            return (x + y, x - y, x * y, x + m, m + x, x - m, m - x,
                     x * m, m * x, x.conjugate(), cyclo_reduce(x * y, 7, 3))
 
         for _ in range(300):
             x = CycloElem(rng.randint(-60, 60), rng.randint(-60, 60))
             y = CycloElem(rng.randint(-60, 60), rng.randint(-60, 60))
-            m, n = rng.randint(-9, 9), rng.randint(1, 7)
-            got = ops(x, y, m, n)
-            want = ops(promoted(x), promoted(y), m, n)
+            m = rng.randint(-9, 9)
+            got = ops(x, y, m)
+            want = ops(promoted(x), promoted(y), m)
             # the reference ran on Fractions (cyclo_reduce, last, gives ints)
             assert all(type(e.c0) is F for e in want[:-1])
             for g, e in zip(got, want):
-                assert (type(g.c0), type(g.c1)) == (int, int), (x, y, m, n)
-                assert g == e and str(g) == str(e), (x, y, m, n)
+                assert (type(g.c0), type(g.c1)) == (int, int), (x, y, m)
+                assert g == e and str(g) == str(e), (x, y, m)
             assert type(x.norm()) is int and x.norm() == promoted(x).norm()
             if x != 0:
                 inv = x.inverse()

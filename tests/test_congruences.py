@@ -170,8 +170,9 @@ def test_ff1_exact():
 def test_ff2_inputs():
     assert verify_ff2(5, F(1, 2), F(-1, 3), 2).holds
     assert verify_ff2(7, F(0), F(1), 3).holds
-    with pytest.raises(NonUnitDenominator):
-        verify_ff2(5, F(1, 5), F(1), 2)
+    for u, v in ((F(1, 5), F(1)), (F(1), F(1, 5)), (F(1), F(2, 25))):
+        with pytest.raises(NonUnitDenominator):
+            verify_ff2(5, u, v, 2)
     with pytest.raises(ValueError):
         verify_ff2(5, F(1), F(1), 3)  # kmax beyond (p-1)/2
 
@@ -324,7 +325,7 @@ def test_ff3_matches_hand_built_quotient():
 
 def exact_triple_loop(p, u, v, kmax):
     """ff-3.2's former loop: the exact triple product, reduced at every k."""
-    factors = tuple(u + (OMEGA**j) * (v * p) for j in range(3))
+    factors = tuple(u + (1, OMEGA, OMEGA * OMEGA)[j] * (v * p) for j in range(3))
     triple = CycloElem(1, 0)
     plain = Fraction(1)
     lhs_k = cyclo_reduce(triple, p, 3)
@@ -341,6 +342,15 @@ def exact_triple_loop(p, u, v, kmax):
     return ok, str(lhs_k), str(rhs_k)
 
 
+def ff2_special_pairs(p, draw):
+    """ff-3.2's edge cases: v = 0, u = 0, p-divisible u and u = -p/2."""
+    return [
+        (draw(p), F(0)), (F(0), draw(p)), (F(0), F(0)),
+        (p * draw(p), draw(p)), (p**2 * draw(p), draw(p)),
+        (F(-p, 2), draw(p)), (F(p**3, 7 if p != 7 else 5), F(0)),
+    ]
+
+
 def test_ff2_matches_exact_triple_loop():
     rng = Random(44)
 
@@ -352,15 +362,51 @@ def test_ff2_matches_exact_triple_loop():
 
     for p in (5, 7, 13, 31):
         pairs = [(draw(p), draw(p)) for _ in range(8)]
-        pairs += [(draw(p), F(0)), (F(0), draw(p)), (F(0), F(0))]
-        pairs += [(p * draw(p), draw(p)), (p**2 * draw(p), draw(p))]
-        pairs += [(F(-p, 2), draw(p)), (F(p**3, 7 if p != 7 else 5), F(0))]
+        pairs += ff2_special_pairs(p, draw)
         for u, v in pairs:
             for kmax in sorted({0, 1, (p - 1) // 2}):
                 r = verify_ff2(p, u, v, kmax)
                 assert (r.holds, r.lhs, r.rhs) == exact_triple_loop(p, u, v, kmax), (
                     p, u, v, kmax
                 )
+                assert r.holds, (p, u, v, kmax)
+
+
+def cyclo_elem_triple_loop(p, u, v, kmax):
+    """ff-3.2's former loop: the three factors reduced once to CycloElem
+    representatives mod p^3, the product extended one k at a time and
+    cyclo_reduce'd after every step."""
+    m = p**3
+    u_rep = reduce_mod(u, p, 3).value
+    powers = (CycloElem(1, 0), OMEGA, OMEGA * OMEGA)
+    factors = tuple(cyclo_reduce(u + w * (v * p), p, 3) for w in powers)
+    lhs = rhs = CycloElem(1, 0)  # k = 0
+    plain = 1
+    ok = True
+    for j in range(kmax):
+        f0, f1, f2 = (f + j for f in factors)
+        lhs = cyclo_reduce(lhs * f0 * f1 * f2, p, 3)
+        plain = plain * (u_rep + j) % m
+        rhs = CycloElem(pow(plain, 3, m), 0)
+        ok &= lhs == rhs
+    return ok, str(lhs), str(rhs)
+
+
+def test_ff2_matches_cyclo_elem_triple_loop():
+    """The int-pair loop against the CycloElem loop it replaced, on the
+    sweep's own (u, v) draws at every prime 5..97 and on the edge cases."""
+    rng = Random(45)
+    swept = sweep(SweepConfig(ids=("ff-3.2",), primes=primes_in(5, 97)))
+    assert len(swept) == 23 * SweepConfig().pairs
+    for p in primes_in(5, 97):
+        pairs = [(F(r.params["u"]), F(r.params["v"])) for r in swept if r.p == p]
+        pairs += ff2_special_pairs(p, partial(_draw_rational, rng))
+        for u, v in pairs:
+            for kmax in sorted({0, 1, (p - 1) // 2}):
+                r = verify_ff2(p, u, v, kmax)
+                assert (r.holds, r.lhs, r.rhs) == cyclo_elem_triple_loop(
+                    p, u, v, kmax
+                ), (p, u, v, kmax)
                 assert r.holds, (p, u, v, kmax)
 
 
@@ -529,18 +575,14 @@ def test_sample_minimums_guard_the_checkers():
 
 
 def test_ff2_reports_a_planted_product_fault(monkeypatch):
-    """A wrong Z[w] product reads holds=false against ff-3.2's plain-int
-    right side, in the checker and in a sweep."""
+    """A wrong Z[w] product rule reads holds=false against ff-3.2's
+    plain-int right side, in the checker and in a sweep."""
 
-    def wrong_mul(self, other):  # w^2 read as 1 - w instead of -1 - w
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        a, b, c, d = self.c0, self.c1, o.c0, o.c1
-        return CycloElem(a * c + b * d, a * d + b * c - b * d)
+    def wrong_mul(a, b, c, d):  # w^2 read as 1 - w instead of -1 - w
+        return a * c + b * d, a * d + b * c - b * d
 
     assert verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
-    monkeypatch.setattr(CycloElem, "__mul__", wrong_mul)
+    monkeypatch.setattr(congruences, "_zw_mul", wrong_mul)
     assert not verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
     reports = sweep(SweepConfig(ids=("ff-3.2",), primes=(7,), pairs=3))
     # a draw with v = 0 stays on the rational axis, where the fault is silent
