@@ -12,7 +12,7 @@ works over the four scalar kinds defined here:
   * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0; coordinates are
                             ints until a division makes Fractions; cyclo_reduce
                             gives its class mod p^k with coordinates in [0, p^k);
-                            _zw_mul, its product, also runs on bare int pairs
+                            _zw_mul and _zw_div run on bare coordinate pairs
 
 Valuations are computed exactly on rationals; nothing here ever rounds.
 """
@@ -297,9 +297,24 @@ def _zw_mul(a, b, c, d):
     return a * c - bd, a * d + b * c - bd
 
 
+def _zw_div(a, b, c, d):
+    """(a + b*w) / (c + d*w) as a Fraction pair, via conjugate and norm."""
+    n = c * c - c * d + d * d
+    if n == 0:
+        raise NonInvertible("zero has no inverse")
+    return tuple(Fraction(e, n) for e in _zw_mul(a, b, c - d, -d))
+
+
 def _coordinate(x: RationalLike) -> RationalLike:
     """A CycloElem coordinate: an int (a bool too) or else a Fraction."""
     return int(x) if isinstance(x, int) else _as_fraction(x)
+
+
+def _coordinates(x):
+    """(c0, c1) of a CycloElem, (x, 0) of an int or Fraction, else None."""
+    if isinstance(x, CycloElem):
+        return x.c0, x.c1
+    return (x, 0) if isinstance(x, (int, Fraction)) else None
 
 
 @dataclass(frozen=True)
@@ -312,8 +327,8 @@ class CycloElem:
     whose norm form c0^2 - c0*c1 + c1^2 vanishes only at zero, so division
     is total away from zero.  Classes mod p^k are held as the representatives
     cyclo_reduce returns.  An element on the rational axis equals, and
-    hashes like, its rational, so ints, Fractions and CycloElems mix in
-    arithmetic and comparison without explicit promotion.
+    hashes like, its rational; operators read an int or Fraction operand's
+    pair through _coordinates and never promote it to a CycloElem.
     """
 
     c0: RationalLike
@@ -323,48 +338,35 @@ class CycloElem:
         object.__setattr__(self, "c0", _coordinate(self.c0))
         object.__setattr__(self, "c1", _coordinate(self.c1))
 
-    def _coerce(self, other):
-        if isinstance(other, CycloElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(other, 0)
-        return NotImplemented
-
     def __eq__(self, other):
-        if isinstance(other, CycloElem):
-            return self.c0 == other.c0 and self.c1 == other.c1
-        if isinstance(other, (int, Fraction)):
-            return self.c1 == 0 and self.c0 == other
-        return NotImplemented
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return (self.c0, self.c1) == o
 
     def __hash__(self):
         return hash(self.c0) if self.c1 == 0 else hash((self.c0, self.c1))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CycloElem(self.c0 + o.c0, self.c1 + o.c1)
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return CycloElem(self.c0 + o[0], self.c1 + o[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CycloElem(self.c0 - o.c0, self.c1 - o.c1)
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return CycloElem(self.c0 - o[0], self.c1 - o[1])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return CycloElem(o[0] - self.c0, o[1] - self.c1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return CycloElem(*_zw_mul(self.c0, self.c1, o.c0, o.c1))
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return CycloElem(*_zw_mul(self.c0, self.c1, *o))
 
     __rmul__ = __mul__
 
@@ -377,23 +379,17 @@ class CycloElem:
         return self.c0 * self.c0 - self.c0 * self.c1 + self.c1 * self.c1
 
     def inverse(self) -> "CycloElem":
-        n = self.norm()
-        if n == 0:
-            raise NonInvertible("zero has no inverse")
-        conj = self.conjugate()
-        return CycloElem(Fraction(conj.c0, n), Fraction(conj.c1, n))
+        return CycloElem(*_zw_div(1, 0, self.c0, self.c1))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return CycloElem(*_zw_div(self.c0, self.c1, *o))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
+        if (o := _coordinates(other)) is None:
+            return NotImplemented
+        return CycloElem(*_zw_div(*o, self.c0, self.c1))
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*w"

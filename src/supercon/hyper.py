@@ -6,17 +6,17 @@ Series are evaluated by the term ratio
     t_{k+1} = t_k * prod(a_i + k) / (prod(b_j + k) * (k+1)) * z,
 
 never by rebuilding Pochhammers, so an n-term truncation costs O(n) ring
-operations.  The exact routes split each entry once, by _split, into
-r / s with integer (coordinates of) r, multiply only integers, and divide
-once at the end; pfq_exact carries the term and the sum as numerators
-over one shared denominator.  pfq_mod forms each
-term ratio as one exact integer quotient, embeds it once as a capped p-adic
-number, and returns the sum's class mod p^k as a plain int in [0, p^k).
-A zero among the upper factors kills every later term (the series has
-terminated); a zero among the lower factors while terms are still live is
-a genuine pole and raises PoleInRange.  The dead-series check runs first,
-so a terminating series with a harmless lower zero beyond its support
-still evaluates.
+operations.  The exact routes split each entry once, by _split, into r / s
+with integer (coordinates of) r, multiply only integers, and divide once at
+the end: pfq_exact carries the term and the sum as numerators over one shared
+denominator, and pochhammer and gs_rhs multiply _rising's pairs (gs_rhs
+crosswise) before their one division.  pfq_mod forms each term ratio as one
+exact integer quotient, embeds it once as a capped p-adic number, and returns
+the sum's class mod p^k as a plain int in [0, p^k).  A zero among the upper
+factors kills every later term (the series has terminated); a zero among the
+lower factors while terms are still live is a genuine pole and raises
+PoleInRange.  The dead-series check runs first, so a terminating series with
+a harmless lower zero beyond its support still evaluates.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .arith import (
     least_residue,
     _as_fraction,
     _check_precision,
+    _coordinates,
 )
 from .errors import AlphaOutOfRange, PoleInRange
 
@@ -49,13 +50,18 @@ def _split(x: Param) -> tuple:
     return x.numerator, x.denominator
 
 
+def _rising(x: Param, n: int) -> tuple:
+    """(x)_n as (product of the r + j*s, s**n) for _split(x) = (r, s)."""
+    r, s = _split(x)
+    return prod(r + j * s for j in range(n)), s**n
+
+
 def pochhammer(x: Param, n: int) -> Param:
-    """Rising factorial x(x+1)...(x+n-1); exact, over rationals or CycloElem,
-    as the integer product of the r + j*s over s^n."""
+    """Rising factorial x(x+1)...(x+n-1), exactly: _rising's one quotient."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    r, s = _split(x)
-    return Fraction(1) * prod(r + j * s for j in range(n)) / s**n
+    top, bottom = _rising(x, n)
+    return Fraction(1) * top / bottom
 
 
 def _param(x: Param) -> Param:
@@ -213,7 +219,8 @@ class GSParams:
 
 def _integer_in_window(x: Param, n: int) -> bool:
     """True when x is a plain integer in {0, -1, ..., -(n-1)}."""
-    return any(x == -j for j in range(n))
+    c0, c1 = _coordinates(x)
+    return c1 == 0 and c0.denominator == 1 and -n < c0 <= 0
 
 
 def gs_lhs(g: GSParams) -> Param:
@@ -228,19 +235,16 @@ def gs_rhs(g: GSParams) -> Param:
     r = g.n // 2
     a, b, d = g.a, g.b, g.d
     half = Fraction(1, 2)
-    num = (
-        pochhammer(half, r)
-        * pochhammer(b + d, r)
-        * pochhammer(d - b + a + half, r)
-        * pochhammer(a + 1, r)
-    )
-    den = Fraction(1)
+    num = den = 1
+    for f in (half, b + d, d - b + a + half, a + 1):
+        top, bottom = _rising(f, r)
+        num, den = num * top, den * bottom
     for f in (b + half, a + d + half, d, a - b + 1):
-        pf = pochhammer(f, r)
-        if pf == 0:
+        top, bottom = _rising(f, r)
+        if top == 0:
             raise PoleInRange(f"closed-form denominator ({f})_{r} vanishes")
-        den = den * pf
-    return num / den
+        num, den = num * bottom, den * top
+    return Fraction(1) * num / den
 
 
 def alpha_window_residue(alpha: Fraction, p: int) -> int:

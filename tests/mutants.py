@@ -119,16 +119,24 @@ MUTANTS = (
      "return a * c + bd, a * d + b * c - bd",
      ["tests/test_congruences.py::test_ff2_matches_exact_triple_loop"]),
     ("Z[w] inverse by floor division", _ARITH,
-     "CycloElem(Fraction(conj.c0, n), Fraction(conj.c1, n))",
-     "CycloElem(conj.c0 // n, conj.c1 // n)",
+     "Fraction(e, n) for e", "e // n for e",
      ["tests/test_arith.py::TestCycloElem::"
       "test_int_coordinates_stay_int_and_match_fraction_arithmetic"]),
     ("exact split: a Q(w) entry left unscaled", _HYPER,
      "return CycloElem(int(x.c0 * s), int(x.c1 * s)), s", "return x, s",
      ["tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points"]),
     ("pochhammer: divided by s^(n - 1)", _HYPER,
-     "/ s**n", "/ s**(n - 1)",
+     "range(n)), s**n", "range(n)), s**(n - 1)",
      ["tests/test_hyper.py::test_pochhammer_matches_fraction_accumulator"]),
+    ("Z[w] operand: a rational read as (0, x)", _ARITH,
+     "(x, 0) if", "(0, x) if",
+     ["tests/test_arith.py::TestCycloElem::test_mixed_scalar_arithmetic"]),
+    ("gs_rhs: a lower Pochhammer multiplied, not divided", _HYPER,
+     "num, den = num * bottom, den * top", "num, den = num * top, den * bottom",
+     ["tests/test_hyper.py::test_mixed_kind_identity_matches_promoting_every_entry"]),
+    ("pole window: -n itself counted", _HYPER,
+     "-n < c0 <= 0", "-n <= c0 <= 0",
+     ["tests/test_hyper.py::test_integer_in_window_matches_scan"]),
 )
 
 

@@ -1,6 +1,7 @@
 """Scalar layer: residues, capped p-adics, cyclotomic elements."""
 
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -293,6 +294,37 @@ class TestCycloElem:
         assert x.c0 == 1 and x.c1 == 1
         y = x * F(1, 2)
         assert y == CycloElem(F(1, 2), F(1, 2))
+
+        def outcome(op, a, b):
+            try:
+                r = op(a, b)
+            except ZeroDivisionError as e:
+                return type(e), str(e)
+            if isinstance(r, CycloElem):
+                return r, type(r.c0), type(r.c1), str(r)
+            return r, type(r)
+
+        # an int, bool or Fraction operand acts as CycloElem(m, 0) would,
+        # coordinate types included, on either side
+        ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq, operator.ne)
+        elems = (x, CycloElem(0, 0), CycloElem(3, -2), CycloElem(F(2, 3), 0),
+                 CycloElem(F(-1, 2), F(5, 3)), CycloElem(4, F(1, 3)))
+        for m in (0, 1, -7, True, False, F(1, 2), F(-5, 3), F(4)):
+            promoted = CycloElem(m, 0)
+            for e in elems:
+                for op in ops:
+                    assert outcome(op, e, m) == outcome(op, e, promoted), (op, e, m)
+                    assert outcome(op, m, e) == outcome(op, promoted, e), (op, m, e)
+            assert promoted == m and hash(promoted) == hash(m)
+        assert (1 / CycloElem(2, 0)).c0 == F(1, 2)
+        for e in elems:
+            for op in ops[:4]:
+                with pytest.raises(TypeError):
+                    op(e, 0.5)
+                with pytest.raises(TypeError):
+                    op(0.5, e)
+            assert e != 0.5 and not e == 0.5 and not 0.5 == e
 
     def test_modular_ring_arithmetic_matches_exact(self):
         rng = Random(9090)

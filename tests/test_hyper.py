@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 import supercon.congruences as congruences
-import supercon.hyper as hyper
 from supercon.arith import (
     OMEGA,
     CycloElem,
@@ -57,6 +57,25 @@ def test_split_gives_int_coordinates_over_a_positive_int():
     assert (type(r.c0), type(r.c1)) == (int, int)
     r, s = _split(CycloElem(F(7), 2))
     assert (r, s) == (CycloElem(7, 2), 1) and type(r.c0) is int
+
+
+def scanned_integer_in_window(x, n):
+    """Reference: the former window test, one equality per integer."""
+    return any(x == -j for j in range(n))
+
+
+def test_integer_in_window_matches_scan():
+    seen = set()
+    for n in range(5):
+        xs = [True, False]
+        for c in (0, -(n - 1), -n, 1, F(-1, 2)):
+            xs += [c, F(c), CycloElem(c, 0), CycloElem(F(c), 0),
+                   CycloElem(c, 1), CycloElem(c, F(1, 2)), CycloElem(0, c)]
+        for x in xs:
+            got = _integer_in_window(x, n)
+            assert got is scanned_integer_in_window(x, n), (x, n)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def fraction_pochhammer(x, n):
@@ -521,6 +540,7 @@ def test_mixed_kind_identity_matches_promoting_every_entry():
             g = GSParams(*entries, rng.randint(0, 8))
         except PoleInRange:
             continue
+        assert _exact_outcome(gs_rhs, g) == _exact_outcome(divided_gs_rhs, g), g
         if _same_outcome(gs_rhs, promoted_gs_rhs, g):
             assert gs_lhs(g) == promoted_pfq_exact(g.series()) == gs_rhs(g)
             checked += 1
@@ -554,6 +574,13 @@ class TestGSIdentity:
         # b = -1/2 puts 2b = -1 inside the pole window for n >= 2
         with pytest.raises(PoleInRange):
             GSParams(F(1, 4), F(-1, 2), F(1, 7), 4)
+        # past the screen, gs_rhs meets (b + 1/2)_2 = (0)_2 and raises as
+        # the divided route does; an unscreened stand-in gets it there
+        for b in (F(-1, 2), CycloElem(F(-1, 2), 0)):
+            g = SimpleNamespace(a=F(1, 4), b=b, d=F(1, 7), n=4)
+            outcome = _exact_outcome(gs_rhs, g)
+            assert outcome[0] is PoleInRange
+            assert outcome == _exact_outcome(divided_gs_rhs, g)
 
     def test_vanishing_numerator_factor(self):
         # (a+1)_r = 0 for a = -2, r = 2: the closed form collapses to zero
@@ -644,21 +671,38 @@ def wrapped_ff_point(p, alpha):
     return GSParams(a, b, d, (p - 1) // 2)
 
 
-def test_gs_sides_match_former_routes_at_every_admissible_alpha(monkeypatch):
+def divided_gs_rhs(g):
+    """Reference: the former gs_rhs, eight Pochhammers each divided out on
+    its own (over fraction_pochhammer), then one quotient of the products."""
+    if g.n % 2:
+        return (g.a + g.b + g.d) * 0
+    r = g.n // 2
+    a, b, d = g.a, g.b, g.d
+    half = F(1, 2)
+    num = (
+        fraction_pochhammer(half, r)
+        * fraction_pochhammer(b + d, r)
+        * fraction_pochhammer(d - b + a + half, r)
+        * fraction_pochhammer(a + 1, r)
+    )
+    den = F(1)
+    for f in (b + half, a + d + half, d, a - b + 1):
+        pf = fraction_pochhammer(f, r)
+        if pf == 0:
+            raise PoleInRange(f"closed-form denominator ({f})_{r} vanishes")
+        den = den * pf
+    return num / den
+
+
+def test_gs_sides_match_former_routes_at_every_admissible_alpha():
     """gs_lhs and gs_rhs at ff_point, where a and b are rationals and the
-    Pochhammers run on int coordinates, against the wrapped point with the
-    Fraction-accumulating pochhammer: value, kind and text, at every
-    admissible integer alpha for p <= 101."""
+    closed form divides once, against the wrapped point with divided_gs_rhs:
+    value, kind and text, at every admissible integer alpha for p <= 101."""
     points = [(p, F(a)) for p in primes_in(5, 101) for a in range(p // 4 + 1)]
-    with monkeypatch.context() as m:
-        m.setattr(hyper, "pochhammer", fraction_pochhammer)
-        former = [
-            (gs_lhs(wrapped_ff_point(p, a)), gs_rhs(wrapped_ff_point(p, a)))
-            for p, a in points
-        ]
-    for (p, alpha), (lhs, rhs) in zip(points, former):
-        g = ff_point(p, alpha)
+    for p, alpha in points:
+        g, wrapped = ff_point(p, alpha), wrapped_ff_point(p, alpha)
         assert (type(g.a), type(g.b)) == (F, F)
+        lhs, rhs = gs_lhs(wrapped), divided_gs_rhs(wrapped)
         got_lhs, got_rhs = gs_lhs(g), gs_rhs(g)
         assert (got_lhs, type(got_lhs), str(got_lhs)) == (lhs, type(lhs), str(lhs))
         assert (got_rhs, type(got_rhs), str(got_rhs)) == (rhs, type(rhs), str(rhs))
