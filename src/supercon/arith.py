@@ -8,11 +8,15 @@ works over the four scalar kinds defined here:
                             1 <= k <= 6; reduce_mod hands its class back
                             as a PrimePowerResidue, read through `.value`
   * PadicCapped          -- p^v * unit with a tracked relative precision;
-                            the format behind hyper.pfq_mod, not exported
+                            the format behind hyper.pfq_mod, not exported;
+                            from_ratio embeds an int numerator and denominator
+                            (p stripped from each, unit num * den^-1 mod p^k),
+                            and from_rational is that embed of a Fraction
   * CycloElem            -- c0 + c1*w with w^2 + w + 1 = 0; coordinates are
                             ints until a division makes Fractions; cyclo_reduce
                             gives its class mod p^k with coordinates in [0, p^k);
-                            _zw_mul and _zw_div run on bare coordinate pairs
+                            _zw_mul and _zw_div run on bare coordinate pairs,
+                            which is how hyper.pfq_exact and ff-3.2 multiply
 
 Valuations are computed exactly on rationals; nothing here ever rounds.
 """
@@ -217,13 +221,29 @@ class PadicCapped:
         check_odd_prime(p)
         _check_precision(precision)
         x = _as_fraction(x)
-        if x == 0:
+        return cls.from_ratio(x.numerator, x.denominator, p, precision)
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int, p: int, precision: int) -> "PadicCapped":
+        """Embed the exact ratio num / den of two ints, in lowest terms or not.
+
+        p is stripped from each, so the valuation is v_p(num) - v_p(den), and
+        the unit is num * den^-1 mod p^precision.  A zero num gives the exact
+        zero.  p and precision are taken as checked (from_rational checks them).
+        """
+        if den == 0:
+            raise ZeroDivisionError("ratio with a zero denominator")
+        if num == 0:
             return cls(p, INFINITY, 0, 0)
-        v = vp(x, p)
-        u = x / Fraction(p) ** v
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
         m = p**precision
-        unit = u.numerator * pow(u.denominator, -1, m) % m
-        return cls(p, v, unit, precision)
+        return cls(p, v, num * pow(den, -1, m) % m, precision)
 
     @property
     def abs_precision(self):

@@ -8,21 +8,27 @@ Series are evaluated by the term ratio
 never by rebuilding Pochhammers, so an n-term truncation costs O(n) ring
 operations.  The exact routes split each entry once, by _split, into r / s
 with integer (coordinates of) r, multiply only integers, and divide once at
-the end: pfq_exact carries the term and the sum as numerators over one shared
-denominator, and pochhammer and gs_rhs multiply _rising's pairs (gs_rhs
-crosswise) before their one division.  pfq_mod forms each term ratio as one
-exact integer quotient, embeds it once as a capped p-adic number, and returns
-the sum's class mod p^k as a plain int in [0, p^k).  A zero among the upper
-factors kills every later term (the series has terminated); a zero among the
-lower factors while terms are still live is a genuine pole and raises
-PoleInRange.  The dead-series check runs first, so a terminating series with
-a harmless lower zero beyond its support still evaluates.
+the end.  pfq_exact carries the term and the sum as numerators over one
+shared denominator: plain ints over Q, and int coordinate pairs (c0, c1)
+multiplied by arith._zw_mul once any entry or z is in Q(w), so the only
+CycloElem it builds is its result.  pochhammer and gs_rhs multiply
+_rising's pairs (gs_rhs crosswise) before their one division.  pfq_mod forms
+each term ratio's numerator and denominator as two integer products, embeds
+them once (PadicCapped.from_ratio: p stripped from each, the unit
+num * den^-1 mod p^k), and returns the sum's class mod p^k as a plain int in
+[0, p^k).  A zero among the upper factors kills every later term (the series
+has terminated); a zero among the lower factors while terms are still live
+is a genuine pole and raises PoleInRange.  The dead-series check runs first,
+so a terminating series with a harmless lower zero beyond its support still
+evaluates.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
 from typing import Union
 
@@ -35,6 +41,8 @@ from .arith import (
     _as_fraction,
     _check_precision,
     _coordinates,
+    _zw_div,
+    _zw_mul,
 )
 from .errors import AlphaOutOfRange, PoleInRange
 
@@ -91,34 +99,87 @@ class PfqSpec:
         object.__setattr__(self, "z", _param(self.z))
 
 
+def _int_column(r: int, s: int, n: int) -> range:
+    """The numerators r + k*s, k < n, of an entry split as (r, s) over Q."""
+    return range(r, r + n * s, s)
+
+
+def _pair(x: Param) -> tuple:
+    """_split(x) with its numerator as an int coordinate pair (c0, c1)."""
+    r, s = _split(x)
+    return ((r.c0, r.c1) if isinstance(r, CycloElem) else (r, 0)), s
+
+
+def _pair_column(r: tuple, s: int, n: int):
+    """The numerators (c0 + k*s, c1), k < n, of an entry split as ((c0, c1), s)."""
+    return zip(range(r[0], r[0] + n * s, s), repeat(r[1]))
+
+
+def _pair_prod(pairs, start: tuple) -> tuple:
+    """start times every pair, in Z[w]: math.prod's twin on int pairs."""
+    c0, c1 = start
+    for a, b in pairs:
+        c0, c1 = _zw_mul(c0, c1, a, b)
+    return c0, c1
+
+
+def _pair_mul(x: tuple, y: tuple) -> tuple:
+    return _zw_mul(*x, *y)
+
+
+def _pair_add(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
+#: (split, column, product, mul, add) of the two rings pfq_exact sums in:
+#: Q on ints, and Q(w) on int coordinate pairs.
+_Q_RING = (_split, _int_column, prod, operator.mul, operator.add)
+_PAIR_RING = (_pair, _pair_column, _pair_prod, _pair_mul, _pair_add)
+
+
 def pfq_exact(spec: PfqSpec) -> Param:
     """The truncated sum as an exact Fraction, or a CycloElem once a Q(w)
     factor enters a live term.
 
     This is the oracle route: no modular shortcut, no precision loss.  Each
-    entry splits once by _split, so that entry + k = (r + k*s) / s.
+    entry splits once by _split, so that entry + k = (r + k*s) / s, and its
+    numerators r + k*s run as one column.  Over Q they are ints; once any
+    entry or z is in Q(w) every ring value is an int pair (c0, c1),
+    multiplied by _zw_mul and divided once, by _zw_div, at the end.
     """
-    upper = [_split(a) for a in spec.upper]
-    lower = [_split(b) for b in spec.lower]
-    z_num, z_den = _split(spec.z)
-    num0 = z_num * prod(s for _, s in lower)
-    den0 = z_den * prod(s for _, s in upper)
-    term = total = shared = 1  # the term and the sum, both over shared
-    for k in range(spec.n):
-        nums = [r + k * s for r, s in upper]
-        if 0 in nums:
+    entries = (*spec.upper, *spec.lower, spec.z)
+    in_q = not any(isinstance(x, CycloElem) for x in entries)
+    split, column, product, mul, add = _Q_RING if in_q else _PAIR_RING
+    n = spec.n
+    zero, one = split(0)[0], split(1)[0]  # split(m)[0] is the int m in the ring
+    upper = [split(a) for a in spec.upper]
+    lower = [split(b) for b in (*spec.lower, 1)]  # the last one gives k!'s k + 1
+    z_num, z_den = split(spec.z)
+    num0 = mul(z_num, split(prod(s for _, s in lower))[0])
+    den0 = split(z_den * prod(s for _, s in upper))[0]
+    # Each upper row leads with one, so there are n rows even with no upper entry.
+    rows = zip(
+        zip(repeat(one, n), *(column(r, s, n) for r, s in upper)),
+        zip(*(column(r, s, n) for r, s in lower)),
+    )
+    term = total = shared = one  # the term and the sum, both over shared
+    for k, (nums, dens) in enumerate(rows):
+        if zero in nums:
             break
-        dens = [r + k * s for r, s in lower]
-        if 0 in dens:
-            b = spec.lower[dens.index(0)]
+        if zero in dens:
+            b = spec.lower[dens.index(zero)]
             raise PoleInRange(
                 f"lower parameter {b} vanishes at k={k} inside a live series"
             )
-        term = term * prod(nums, start=num0)
-        den = prod(dens, start=den0 * (k + 1))
-        total = total * den + term
-        shared = shared * den
-    return Fraction(1) * total / shared  # int / int would be a float
+        term = mul(term, product(nums, start=num0))
+        den = product(dens, start=den0)
+        total = add(mul(total, den), term)
+        shared = mul(shared, den)
+    if in_q:
+        return Fraction(total, shared)
+    if term is one:  # still the start object: no Q(w) factor met a live term
+        return Fraction(1)
+    return CycloElem(*_zw_div(*total, *shared))
 
 
 def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
@@ -126,8 +187,9 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
     capped p-adic arithmetic.
 
     Rational parameters only: any CycloElem entry is a TypeError, even at
-    n = 0.  Each term's ratio to the one before is formed exactly, as one
-    integer quotient, and embeds once with k relative digits; the valuation
+    n = 0.  Each term's ratio to the one before is formed exactly, as an
+    integer numerator and denominator, and embeds once with k relative
+    digits, with no Fraction in between; the valuation
     bookkeeping in PadicCapped then certifies exactly which residue the sum
     is known to, and PrecisionExhausted is raised when cancellation ate too
     many digits or the sum is not a p-adic integer.
@@ -153,8 +215,10 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
             raise PoleInRange(
                 f"lower parameter {b} vanishes at k={j} inside a live series"
             )
-        ratio = Fraction(prod(tops, start=lift), prod(bottoms, start=drop * (j + 1)))
-        term = term * PadicCapped.from_rational(ratio, p, k)
+        ratio = PadicCapped.from_ratio(
+            prod(tops, start=lift), prod(bottoms, start=drop * (j + 1)), p, k
+        )
+        term = term * ratio
         total = total + term
     return total.residue(k)
 
@@ -229,7 +293,13 @@ def gs_lhs(g: GSParams) -> Param:
 
 
 def gs_rhs(g: GSParams) -> Param:
-    """Closed form: a four-over-four Pochhammer quotient, or 0 for odd n."""
+    """Closed form: a four-over-four Pochhammer quotient, or 0 for odd n.
+
+    GSParams' construction screen refuses every point where a lower
+    Pochhammer here vanishes (b + 1/2, d or a - b + 1 at -j gives a lower
+    entry in the window, and a + d + 1/2 is one), so the PoleInRange check
+    below cannot be reached through GSParams; it guards other callers.
+    """
     if g.n % 2:
         return (g.a + g.b + g.d) * 0  # zero of the parameters' kind
     r = g.n // 2

@@ -36,6 +36,9 @@ _EXACT = [
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_catalog_specs",
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points",
 ]
+# ff_point's series sums and shared denominators have c1 = 0, so the pair
+# route's c1 bookkeeping needs the off-axis specs of this test
+_PAIRS = ["tests/test_hyper.py::test_pfq_exact_matches_cyclo_elem_route"]
 _FF2 = ["tests/test_congruences.py::test_ff2_matches_cyclo_elem_triple_loop"]
 _MOD = [  # the quick one first: pytest -x stops at the first failure
     "tests/test_hyper.py::test_pfq_mod_zero_z_still_meets_a_later_pole",
@@ -63,14 +66,19 @@ MUTANTS = (
     ("gamma-laws: odd-n sign skipped", _CONG,
      "direct == (-1) ** n * g(x + n)", "direct == g(x + n)", _LAWS),
     ("pfq_exact: z's denominator dropped", _HYPER,
-     "den0 = z_den * prod(", "den0 = prod(", _EXACT),
+     "den0 = split(z_den * prod(", "den0 = split(prod(", _EXACT),
     ("pfq_exact: lower entries' denominators dropped", _HYPER,
-     "num0 = z_num * prod(s for _, s in lower)", "num0 = z_num", _EXACT),
+     "num0 = mul(z_num, split(prod(s for _, s in lower))[0])", "num0 = z_num",
+     _EXACT),
     ("pfq_exact: lower factors at k + 1", _HYPER,
-     "dens = [r + k * s for r, s in lower]",
-     "dens = [r + (k + 1) * s for r, s in lower]", _EXACT),
+     "lower = [split(b) for b in (*spec.lower, 1)]",
+     "lower = [split(b + 1) for b in spec.lower] + [split(1)]", _EXACT),
     ("pfq_exact: k! factor off by one", _HYPER,
-     "start=den0 * (k + 1))", "start=den0 * (k + 2))", _EXACT),
+     "for b in (*spec.lower, 1)]", "for b in (*spec.lower, 2)]", _EXACT),
+    ("pfq_exact: the pair sum drops c1", _HYPER,
+     "return x[0] + y[0], x[1] + y[1]", "return x[0] + y[0], x[1]", _PAIRS),
+    ("pfq_exact: the final division reads only shared's c0", _HYPER,
+     "_zw_div(*total, *shared)", "_zw_div(*total, shared[0], 0)", _PAIRS),
     ("pfq_mod: z's denominator dropped", _HYPER,
      "drop = spec.z.denominator * prod(", "drop = prod(", _MOD),
     ("pfq_mod: lower entries' denominators dropped", _HYPER,
@@ -81,7 +89,7 @@ MUTANTS = (
     ("pfq_mod: a zero ratio ends the series", _HYPER,
      "        total = total + term\n    return",
      "        total = total + term\n"
-     "        if not ratio:\n            break\n    return",
+     "        if not ratio.unit:\n            break\n    return",
      _MOD),
     ("gamma: an int argument read without reduction", _GAMMA,
      "return x % self._pk", "return x",
@@ -108,6 +116,10 @@ MUTANTS = (
     ("long-ramakrishna: the mod p^6 reduction dropped", _CONG,
      "rhs = -lift * unit % p**6", "rhs = -lift * unit",
      ["tests/test_congruences.py::test_long_ramakrishna_both_classes"]),
+    ("capped route: the embed leaves p in den", _ARITH,
+     "        while den % p == 0:\n            den //= p\n            v -= 1\n", "",
+     ["tests/test_arith.py::TestPadicCapped::"
+      "test_from_rational_matches_integer_embed_of_any_multiple"]),
     ("capped route: residue not reduced mod p^k", _ARITH,
      "self.p**self.valuation * self.unit % self.p**k",
      "self.p**self.valuation * self.unit",

@@ -220,6 +220,46 @@ class TestPadicCapped:
         x = PadicCapped.from_rational(F(125), 5, 2)
         assert x.residue(3) == 0
 
+    def test_from_rational_matches_integer_embed_of_any_multiple(self):
+        """from_rational(a/b) equals from_ratio(a*c, b*c) for any c != 0,
+        p in either side included, and the former Fraction embed."""
+        rng = Random(2525)
+
+        def draw(p):
+            m = rng.randint(1, 10**rng.randint(1, 8))
+            return m * p ** rng.choice((0, 0, 1, 2, 4)) * rng.choice((1, -1))
+
+        seen = {"p in num": 0, "p in den": 0, "zero": 0, "negative": 0}
+        for _ in range(4000):
+            p = rng.choice((3, 5, 7, 401))
+            k = rng.randint(1, MAX_PRECISION)
+            a = 0 if rng.random() < 0.05 else draw(p)
+            b, c = draw(p), draw(p)
+            x = F(a, b)
+            got = PadicCapped.from_rational(x, p, k)
+            assert got == PadicCapped.from_ratio(a * c, b * c, p, k), (a, b, c, p, k)
+            assert got == fraction_from_rational(x, p, k), (x, p, k)
+            seen["p in num"] += a != 0 and a % p == 0 and c % p == 0
+            seen["p in den"] += b % p == 0 and c % p == 0
+            seen["zero"] += a == 0
+            seen["negative"] += x < 0
+        assert min(seen.values()) >= 100, seen
+
+    def test_integer_embed_refuses_a_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            PadicCapped.from_ratio(3, 0, 5, 2)
+
+
+def fraction_from_rational(x, p, precision):
+    """Reference: the former from_rational, which split off p^v as a Fraction."""
+    x = F(x)
+    if x == 0:
+        return PadicCapped(p, INFINITY, 0, 0)
+    v = vp(x, p)
+    u = x / F(p) ** v
+    m = p**precision
+    return PadicCapped(p, v, u.numerator * pow(u.denominator, -1, m) % m, precision)
+
 
 class TestCycloElem:
     def test_omega_satisfies_its_polynomial(self):

@@ -1,6 +1,7 @@
 """Series evaluators: exact, modular, the terminating identity, the omega build."""
 
 from fractions import Fraction
+from math import prod
 from random import Random
 from types import SimpleNamespace
 
@@ -236,6 +237,61 @@ def test_pfq_exact_matches_fraction_route_on_q_omega_points():
         if is_prime(p):
             for alpha in range(p // 4 + 1):
                 _assert_same_as_fraction_route(ff_point(p, F(alpha)).series())
+
+
+def cyclo_elem_pfq_exact(spec):
+    """Reference: the former pfq_exact, whose Q(w) factors, term, sum and
+    shared denominator were CycloElems, divided once at the end."""
+    upper = [_split(a) for a in spec.upper]
+    lower = [_split(b) for b in spec.lower]
+    z_num, z_den = _split(spec.z)
+    num0 = z_num * prod(s for _, s in lower)
+    den0 = z_den * prod(s for _, s in upper)
+    term = total = shared = 1  # the term and the sum, both over shared
+    for k in range(spec.n):
+        nums = [r + k * s for r, s in upper]
+        if 0 in nums:
+            break
+        dens = [r + k * s for r, s in lower]
+        if 0 in dens:
+            b = spec.lower[dens.index(0)]
+            raise PoleInRange(
+                f"lower parameter {b} vanishes at k={k} inside a live series"
+            )
+        term = term * prod(nums, start=num0)
+        den = prod(dens, start=den0 * (k + 1))
+        total = total * den + term
+        shared = shared * den
+    return Fraction(1) * total / shared
+
+
+def test_pfq_exact_matches_cyclo_elem_route():
+    """Value, kind and text against the CycloElem-valued loop: at every
+    ff_point for p <= 101, and on the edge cases of the pair route."""
+    specs = [ff_point(p, F(a)).series() for p in primes_in(5, 101)
+             for a in range(p // 4 + 1)]
+    w = CycloElem(F(1, 3), F(-2, 5))
+    specs += [
+        PfqSpec((F(1, 2),), (F(1, 3),), w, 0),  # n = 0, z in Q(w)
+        PfqSpec((F(0), w), (w,), w, 4),  # an upper zero at k = 0
+        PfqSpec((F(-1), w), (F(1, 3),), 1, 4),  # ... and one at k = 1
+        PfqSpec((w, F(1, 2)), (F(1, 3), 1), F(-2, 7), 6),  # Q(w) only upper
+        PfqSpec((F(1, 2), F(3, 4)), (w,), F(2, 3), 6),  # only lower
+        PfqSpec((F(1, 2),), (F(1, 3),), w, 6),  # only z
+        PfqSpec((CycloElem(F(1, 2), 0),), (F(1, 3),), 1, 6),  # c1 = 0
+        PfqSpec((CycloElem(F(-3), 0), F(1, 2)), (F(1, 3),), 1, 9),
+        PfqSpec((w,), (), 0, 1),  # a live term that sums to 1
+        PfqSpec((w,), (CycloElem(F(-2), 0),), F(1, 2), 6),  # a Q(w) lower pole
+        PfqSpec((w,), (F(-2),), F(1, 2), 6),  # a rational pole in a Q(w) spec
+    ]
+    seen = set()  # result kinds and pole messages
+    for spec in specs:
+        outcome = _exact_outcome(pfq_exact, spec)
+        assert outcome == _exact_outcome(cyclo_elem_pfq_exact, spec), spec
+        seen.add(outcome[1] if outcome[0] is PoleInRange else outcome[1])
+    assert seen == {CycloElem, Fraction,
+                    "lower parameter -2 + 0*w vanishes at k=2 inside a live series",
+                    "lower parameter -2 vanishes at k=2 inside a live series"}
 
 
 def test_pfq_exact_matches_fraction_route_on_long_central_series():
@@ -545,6 +601,38 @@ def test_mixed_kind_identity_matches_promoting_every_entry():
             assert gs_lhs(g) == promoted_pfq_exact(g.series()) == gs_rhs(g)
             checked += 1
     assert checked > 100
+
+
+def test_gs_params_screen_every_closed_form_pole():
+    """gs_rhs's PoleInRange check is unreachable through GSParams: every
+    mixed-kind point at even n <= 10 that constructs evaluates, and every
+    point aimed at a vanishing lower closed-form Pochhammer is refused."""
+    rng = Random(2506)
+    built = aimed = 0
+    for _ in range(4000):
+        n = rng.randrange(0, 11, 2)
+        a, b, d = (_mixed_entry(rng) for _ in range(3))
+        aim = n and rng.random() < 0.5
+        if aim:  # one of b + 1/2, a + d + 1/2, d, a - b + 1 at -j, j < n/2
+            j = rng.randrange(n // 2)
+            which = rng.randrange(4)
+            if which == 0:
+                b = F(-1, 2) - j
+            elif which == 1:
+                d = F(-1, 2) - j - a
+            elif which == 2:
+                d = CycloElem(-j, 0) if rng.random() < 0.5 else -j
+            else:
+                b = a + 1 + j
+        try:
+            g = GSParams(a, b, d, n)
+        except PoleInRange:
+            aimed += aim
+            continue
+        assert not aim, (a, b, d, n)
+        gs_rhs(g)
+        built += 1
+    assert built > 1000 and aimed > 1000, (built, aimed)
 
 
 class TestGSIdentity:
