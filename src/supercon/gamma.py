@@ -53,17 +53,18 @@ def _poly_mul(a: list, b: list, k: int, pk: int) -> list:
     return [c % pk for c in out]
 
 
-def _digit_rows(p: int, k: int, top: int) -> list:
-    """Row l is the table Q_l[d], d < p, of each level l with p^l <= top.
+def _digit_rows(p: int, k: int, levels: int) -> tuple:
+    """Row l is the table Q_l[d], d < p, of each level l < levels.
 
     Level 0 skips the multiple u = 0 and grows by the linear factor p q + u;
     B_(l+1) is Q_l[p].  The top level only sees q = 0, so it holds constants.
+    Rows and entries are tuples, so a memoised set cannot be changed.
     """
     pk = p**k
-    rows, block, size = [], None, 1
-    while size <= top:
-        at_top = size * p > top
-        q, row = [1], [[1]]
+    rows, block = [], None
+    for level in range(levels):
+        at_top = level == levels - 1
+        q, row = [1], [(1,)]
         for u in range(p - 1 if at_top else p):
             if at_top:  # B_l(u), and B_0(u) = u on the units
                 q = [q[0] * (_eval(block, u, pk) if block else u or 1) % pk]
@@ -71,9 +72,27 @@ def _digit_rows(p: int, k: int, top: int) -> list:
                 q = _poly_mul(q, _substitute(block, p, u, k, pk), k, pk)
             elif u:
                 q = [(u * c + p * b) % pk for c, b in zip(q + [0], [0] + q)][:k]
-            row.append(q)
-        rows.append(row)
-        block, size = q, size * p
+            row.append(tuple(q))
+        rows.append(tuple(row))
+        block = q
+    return tuple(rows)
+
+
+#: How many (p, k, levels) table sets _tables keeps: enough for the right
+#: sides that build one batch per alpha at one prime, and no more.
+_KEPT = 2
+_MEMO: dict = {}
+
+
+def _tables(p: int, k: int, levels: int) -> tuple:
+    """_digit_rows(p, k, levels), from the memo of the _KEPT keys read last."""
+    key = (p, k, levels)
+    rows = _MEMO.pop(key, None)
+    if rows is None:
+        rows = _digit_rows(p, k, levels)
+    _MEMO[key] = rows
+    if len(_MEMO) > _KEPT:
+        del _MEMO[next(iter(_MEMO))]  # the least recently read
     return rows
 
 
@@ -95,11 +114,15 @@ class GammaBatch:
     """One set of digit tables answering many gamma queries at fixed (p, k).
 
     Arguments are registered up front (in any order, duplicates fine),
-    run() builds the tables up to the largest representative and reads
-    every value from them, and value() reads each one back as a plain int.
-    An int argument is its own representative mod p^k; a Fraction is
-    reduced.  The tables are rebuilt by each run(); deliberately not a
-    cross-prime cache, so build one per (p, k) job and let it go.
+    run() reads every value from the tables for the largest representative,
+    and value() reads each one back as a plain int.  An int argument is its
+    own representative mod p^k; a Fraction is reduced.  The tables depend
+    only on (p, k) and the number of digits of the largest representative,
+    so run() takes them from _tables, which keeps the last _KEPT sets read:
+    right sides that build one batch per alpha at one prime share a set
+    instead of rebuilding it.  That memo is still deliberately not a
+    cross-prime cache, since the next prime's tables evict it; build one
+    batch per (p, k) job and let it go.
     """
 
     def __init__(self, p: int, k: int):
@@ -136,7 +159,10 @@ class GammaBatch:
         if self._values is not None:
             return self
         p, pk = self.p, self._pk
-        rows = _digit_rows(p, self.k, self.sweep_length)
+        levels, top = 0, self.sweep_length
+        while top:  # the number of base-p digits of the largest rep
+            levels, top = levels + 1, top // p
+        rows = _tables(p, self.k, levels)
         values: dict[int, int] = {}
         for m in self._reps:
             acc, q = 1, m

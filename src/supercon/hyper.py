@@ -11,14 +11,16 @@ with integer (coordinates of) r, multiply only integers, and divide once at
 the end.  pfq_exact carries the term and the sum as numerators over one
 shared denominator: plain ints over Q, and int coordinate pairs (c0, c1)
 multiplied by arith._zw_mul once any entry or z is in Q(w), so the only
-CycloElem it builds is its result.  pochhammer and gs_rhs multiply
-_rising's pairs (gs_rhs crosswise) before their one division.  pfq_mod forms
-each term ratio's numerator and denominator as two integer products, embeds
-them once (PadicCapped.from_ratio: p stripped from each, the unit
-num * den^-1 mod p^k), and returns the sum's class mod p^k as a plain int in
-[0, p^k).  A zero among the upper factors kills every later term (the series
-has terminated); a zero among the lower factors while terms are still live
-is a genuine pole and raises PoleInRange.  The dead-series check runs first,
+CycloElem it builds is its result.  _rising runs on the same two rings, so
+pochhammer and gs_rhs multiply plain ints over Q, and int pairs once a Q(w)
+factor is present; gs_rhs multiplies its eight products crosswise and
+divides once, by Fraction or by _zw_div.  pfq_mod forms each term ratio's
+numerator and denominator as two integer products, embeds them once
+(PadicCapped.from_ratio: p stripped from each, the unit num * den^-1 mod
+p^k), and returns the sum's class mod p^k as a plain int in [0, p^k).  A
+zero among the upper factors kills every later term (the series has
+terminated); a zero among the lower factors while terms are still live is a
+genuine pole and raises PoleInRange.  The dead-series check runs first,
 so a terminating series with a harmless lower zero beyond its support still
 evaluates.
 """
@@ -34,7 +36,6 @@ from typing import Union
 
 from .arith import (
     CycloElem,
-    OMEGA,
     PadicCapped,
     check_odd_prime,
     least_residue,
@@ -58,18 +59,24 @@ def _split(x: Param) -> tuple:
     return x.numerator, x.denominator
 
 
-def _rising(x: Param, n: int) -> tuple:
-    """(x)_n as (product of the r + j*s, s**n) for _split(x) = (r, s)."""
-    r, s = _split(x)
-    return prod(r + j * s for j in range(n)), s**n
+def _rising(x: Param, n: int, ring: tuple) -> tuple:
+    """(x)_n as (product of the r + j*s in ring, s**n) for ring's split of x
+    as (r, s)."""
+    split, column, product = ring[:3]
+    r, s = split(x)
+    return product(column(r, s, n), start=split(1)[0]), s**n
 
 
 def pochhammer(x: Param, n: int) -> Param:
     """Rising factorial x(x+1)...(x+n-1), exactly: _rising's one quotient."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    top, bottom = _rising(x, n)
-    return Fraction(1) * top / bottom
+    if not isinstance(x, CycloElem):
+        return Fraction(*_rising(x, n, _Q_RING))
+    if n == 0:
+        return Fraction(1)
+    top, bottom = _rising(x, n, _PAIR_RING)
+    return CycloElem(*_zw_div(*top, bottom, 0))
 
 
 def _param(x: Param) -> Param:
@@ -305,16 +312,25 @@ def gs_rhs(g: GSParams) -> Param:
     r = g.n // 2
     a, b, d = g.a, g.b, g.d
     half = Fraction(1, 2)
-    num = den = 1
-    for f in (half, b + d, d - b + a + half, a + 1):
-        top, bottom = _rising(f, r)
-        num, den = num * top, den * bottom
-    for f in (b + half, a + d + half, d, a - b + 1):
-        top, bottom = _rising(f, r)
-        if top == 0:
+    ups = (half, b + d, d - b + a + half, a + 1)
+    lows = (b + half, a + d + half, d, a - b + 1)
+    in_q = not any(isinstance(x, CycloElem) for x in (a, b, d))
+    ring = _Q_RING if in_q else _PAIR_RING
+    split, product = ring[0], ring[2]
+    upper = [_rising(f, r, ring) for f in ups]
+    lower = [_rising(f, r, ring) for f in lows]
+    for f, (top, _) in zip(lows, lower):
+        if top == split(0)[0]:
             raise PoleInRange(f"closed-form denominator ({f})_{r} vanishes")
-        num, den = num * bottom, den * top
-    return Fraction(1) * num / den
+    # crosswise: the upper tops and lower bottoms over the lower tops and
+    # upper bottoms, so the only division is the last one
+    num = product((t for t, _ in upper), start=split(prod(s for _, s in lower))[0])
+    den = product((t for t, _ in lower), start=split(prod(s for _, s in upper))[0])
+    if in_q:
+        return Fraction(num, den)
+    if r == 0:  # no Q(w) factor entered a product
+        return Fraction(1)
+    return CycloElem(*_zw_div(*num, *den))
 
 
 def alpha_window_residue(alpha: Fraction, p: int) -> int:
@@ -338,7 +354,7 @@ def ff_point(p: int, alpha: Fraction) -> GSParams:
     a and b are rationals; only d lies in Q(w).  No admissibility checks;
     ff1_build and the ff-3.3 checker make them.
     """
-    d = (OMEGA.conjugate() * p + 1) * Fraction(1, 4)  # w^2 = -1 - w
+    d = CycloElem(Fraction(1 - p, 4), Fraction(-p, 4))  # (1 + (-1 - w) p) / 4
     return GSParams(Fraction(1, 4), Fraction(1, 2) + alpha, d, (p - 1) // 2)
 
 

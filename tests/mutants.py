@@ -31,6 +31,11 @@ _GAMMA = "src/supercon/gamma.py"
 _HYPER = "src/supercon/hyper.py"
 _CONG = "src/supercon/congruences.py"
 _DIGITS = ["tests/test_gamma.py::test_digit_tables_match_block_walk"]
+_MEMO = [
+    "tests/test_gamma.py::test_precision_3_batch_between_precision_2_batches",
+    "tests/test_gamma.py::test_memoised_tables_match_fresh_digit_rows",
+]
+_GS = ["tests/test_hyper.py::test_gs_rhs_matches_cyclo_elem_route"]
 _LAWS = ["tests/test_congruences.py::test_gamma_laws_catch_a_planted_value"]
 _EXACT = [
     "tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_catalog_specs",
@@ -91,6 +96,10 @@ MUTANTS = (
      "        total = total + term\n"
      "        if not ratio.unit:\n            break\n    return",
      _MOD),
+    ("gamma: the memo key drops k", _GAMMA,
+     "key = (p, k, levels)", "key = (p, levels)", _MEMO),
+    ("gamma: the memo key drops the level count", _GAMMA,
+     "key = (p, k, levels)", "key = (p, k)", _MEMO),
     ("gamma: an int argument read without reduction", _GAMMA,
      "return x % self._pk", "return x",
      ["tests/test_gamma.py::test_int_argument_is_its_own_representative"]),
@@ -138,14 +147,20 @@ MUTANTS = (
      "return CycloElem(int(x.c0 * s), int(x.c1 * s)), s", "return x, s",
      ["tests/test_hyper.py::test_pfq_exact_matches_fraction_route_on_q_omega_points"]),
     ("pochhammer: divided by s^(n - 1)", _HYPER,
-     "range(n)), s**n", "range(n)), s**(n - 1)",
+     "start=split(1)[0]), s**n", "start=split(1)[0]), s**(n - 1)",
      ["tests/test_hyper.py::test_pochhammer_matches_fraction_accumulator"]),
     ("Z[w] operand: a rational read as (0, x)", _ARITH,
      "(x, 0) if", "(0, x) if",
      ["tests/test_arith.py::TestCycloElem::test_mixed_scalar_arithmetic"]),
-    ("gs_rhs: a lower Pochhammer multiplied, not divided", _HYPER,
-     "num, den = num * bottom, den * top", "num, den = num * top, den * bottom",
-     ["tests/test_hyper.py::test_mixed_kind_identity_matches_promoting_every_entry"]),
+    ("gs_rhs: the lower Pochhammers multiplied, not divided", _HYPER,
+     "    num = product((t for t, _ in upper), start=split(prod(s for _, s in lower))"
+     "[0])\n    den = product((t for t, _ in lower), "
+     "start=split(prod(s for _, s in upper))[0])\n",
+     "    num = product((t for t, _ in upper + lower), start=split(1)[0])\n"
+     "    den = split(prod(s for _, s in upper + lower))[0]\n",
+     _GS),
+    ("gs_rhs: a Q(w) factor's column drops c1", _HYPER,
+     "repeat(r[1]))", "repeat(0))", _GS),
     ("pole window: -n itself counted", _HYPER,
      "-n < c0 <= 0", "-n <= c0 <= 0",
      ["tests/test_hyper.py::test_integer_in_window_matches_scan"]),

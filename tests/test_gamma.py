@@ -10,9 +10,9 @@ from random import Random
 import pytest
 
 from supercon import cli, congruences
-from supercon.arith import CycloElem, least_residue, reduce_mod, vp
+from supercon.arith import CycloElem, least_residue, primes_in, reduce_mod, vp
 from supercon.errors import NonUnitDenominator
-from supercon.gamma import GammaBatch, gamma_p
+from supercon.gamma import _MEMO, GammaBatch, _digit_rows, _tables, gamma_p
 
 F = Fraction
 
@@ -296,6 +296,52 @@ def test_digit_tables_match_block_walk_at_the_largest_precision():
     p, k = 997, 6
     m = reduce_mod(F(1, 3), p, k).value
     assert gamma_p(F(1, 3), p, k) == block_walk_gamma([m], p, k)[m]
+
+
+def _frozen(rows) -> bool:
+    """True when rows, each row and each entry is a tuple of ints."""
+    return type(rows) is tuple and all(
+        type(row) is tuple
+        and all(type(q) is tuple and all(type(c) is int for c in q) for q in row)
+        for row in rows
+    )
+
+
+def test_memoised_tables_match_fresh_digit_rows():
+    """Every prime p <= 101, k <= 6 and level count: each key is read, then
+    the key one level down, then the key again, and every read matches a
+    fresh build.  Keys of neighbouring precisions share level counts, so a
+    memo key without k or without the level count hands back wrong tables."""
+    for p in primes_in(3, 101):
+        for k in range(1, 7):
+            for levels in range(k + 1):
+                fresh = _digit_rows(p, k, levels)
+                assert _frozen(fresh) and len(fresh) == levels
+                assert _tables(p, k, levels) == fresh, (p, k, levels)
+                if levels:  # the key one level down, then this one again
+                    assert _tables(p, k, levels - 1) == _digit_rows(p, k, levels - 1)
+                    assert _tables(p, k, levels) == fresh, (p, k, levels)
+    assert all(map(_frozen, _MEMO.values()))
+
+
+def test_precision_3_batch_between_precision_2_batches():
+    """A (p, 3) batch run between two (p, 2) batches with the same level
+    count reads its own tables, and so do the batches around it."""
+    for p in (5, 13, 97):
+        for k, reps in ((2, [p * p - 1, p + 3]), (3, [p * p - 2, 7]),
+                        (2, [p * p - 3, 2 * p]), (3, [p**3 - 1, p])):
+            batch = GammaBatch(p, k).add_all(reps).run()
+            assert {m: batch.value(m) for m in reps} == block_walk_gamma(reps, p, k)
+
+
+def test_batches_sharing_tables_leave_each_other_unchanged():
+    p, k = 31, 3
+    first = GammaBatch(p, k).add_all(range(1000, 1060)).run()
+    before = dict(first._values)
+    second = GammaBatch(p, k).add_all(range(29000, 29060)).run()
+    assert _MEMO[p, k, 3] == _digit_rows(p, k, 3)
+    assert first._values == before == block_walk_gamma(range(1000, 1060), p, k)
+    assert second._values == block_walk_gamma(range(29000, 29060), p, k)
 
 
 _BENCH_SWEEPS = (

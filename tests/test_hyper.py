@@ -782,6 +782,82 @@ def divided_gs_rhs(g):
     return num / den
 
 
+def cyclo_elem_rising(x, n):
+    """Reference: the former _rising, the r + j*s of _split(x) = (r, s)
+    multiplied by math.prod, so a Q(w) x builds a CycloElem per factor and
+    per product."""
+    r, s = _split(x)
+    return prod(r + j * s for j in range(n)), s**n
+
+
+def cyclo_elem_pochhammer(x, n):
+    """Reference: the former pochhammer, cyclo_elem_rising's one quotient."""
+    top, bottom = cyclo_elem_rising(x, n)
+    return Fraction(1) * top / bottom
+
+
+def cyclo_elem_gs_rhs(g):
+    """Reference: the former gs_rhs, the eight cyclo_elem_rising products
+    multiplied crosswise and divided once."""
+    if g.n % 2:
+        return (g.a + g.b + g.d) * 0
+    r = g.n // 2
+    a, b, d = g.a, g.b, g.d
+    half = F(1, 2)
+    num = den = 1
+    for f in (half, b + d, d - b + a + half, a + 1):
+        top, bottom = cyclo_elem_rising(f, r)
+        num, den = num * top, den * bottom
+    for f in (b + half, a + d + half, d, a - b + 1):
+        top, bottom = cyclo_elem_rising(f, r)
+        if top == 0:
+            raise PoleInRange(f"closed-form denominator ({f})_{r} vanishes")
+        num, den = num * bottom, den * top
+    return Fraction(1) * num / den
+
+
+def test_pochhammer_matches_cyclo_elem_route():
+    for x in (CycloElem(F(1, 3), F(-2, 5)), CycloElem(F(-3, 2), 0),
+              CycloElem(-4, 7), CycloElem(0, 0)):
+        for n in (0, 1, 5):
+            got, want = pochhammer(x, n), cyclo_elem_pochhammer(x, n)
+            assert (got, type(got), str(got)) == (want, type(want), str(want)), (x, n)
+
+
+def test_gs_rhs_matches_cyclo_elem_route():
+    """Value, kind and text, or the PoleInRange message, against the
+    CycloElem-valued route: at every ff_point for p <= 101, on mixed-kind
+    draws at even n <= 10, and on the kind and pole edge cases."""
+    points = [ff_point(p, F(a)) for p in primes_in(5, 101) for a in range(p // 4 + 1)]
+    rng = Random(2626)
+    for _ in range(600):
+        try:
+            points.append(GSParams(*(_mixed_entry(rng) for _ in range(3)),
+                                   rng.randrange(0, 11, 2)))
+        except PoleInRange:
+            pass
+    w = CycloElem(F(1, 3), F(-2, 5))
+    points += [
+        GSParams(F(1, 4), F(1, 2), w, 0),  # r = 0 with d in Q(w)
+        GSParams(F(1, 4), F(1, 2), w, 5),  # odd n
+        GSParams(F(1, 4), F(1, 2), F(1, 7), 3),
+        GSParams(CycloElem(F(1, 4), 0), F(1, 2), F(1, 7), 4),  # c1 = 0
+        GSParams(F(1, 4), CycloElem(2, 0), F(1, 7), 6),
+    ]
+    # past GSParams' screen, (b + 1/2)_2 = (0)_2 is a lower pole
+    points += [SimpleNamespace(a=F(1, 4), b=b, d=d, n=4)
+               for b in (F(-1, 2), CycloElem(F(-1, 2), 0)) for d in (F(1, 7), w)]
+    kinds = []
+    for g in points:
+        outcome = _exact_outcome(gs_rhs, g)
+        assert outcome == _exact_outcome(cyclo_elem_gs_rhs, g), g
+        kinds.append(outcome[1])
+    assert kinds.count(CycloElem) > 450 and kinds.count(Fraction) > 100
+    assert set(kinds) == {CycloElem, Fraction,
+                          "closed-form denominator (0)_2 vanishes",
+                          "closed-form denominator (0 + 0*w)_2 vanishes"}
+
+
 def test_gs_sides_match_former_routes_at_every_admissible_alpha():
     """gs_lhs and gs_rhs at ff_point, where a and b are rationals and the
     closed form divides once, against the wrapped point with divided_gs_rhs:
