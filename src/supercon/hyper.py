@@ -15,20 +15,22 @@ CycloElem it builds is its result.  _rising runs on the same two rings, so
 pochhammer and gs_rhs multiply plain ints over Q, and int pairs once a Q(w)
 factor is present; gs_rhs multiplies its eight products crosswise and
 divides once, by Fraction or by _zw_div.  pfq_mod forms each term ratio's
-numerator and denominator as two integer products, embeds them once
-(PadicCapped.from_ratio: p stripped from each, the unit num * den^-1 mod
-p^k), and returns the sum's class mod p^k as a plain int in [0, p^k).  A
-zero among the upper factors kills every later term (the series has
-terminated); a zero among the lower factors while terms are still live is a
-genuine pole and raises PoleInRange.  The dead-series check runs first,
-so a terminating series with a harmless lower zero beyond its support still
-evaluates.
+numerator and denominator as two integer products and cuts the series at
+every p-event, a ratio with p in either.  Between p-events it carries the
+run's terms and their sum as plain ints mod p^k over one denominator; at
+each event it embeds the run's sum and the event's ratio in PadicCapped,
+which certifies the sum's class mod p^k, returned as a plain int in
+[0, p^k).  A zero among the upper factors kills every later term (the
+series has terminated); a zero among the lower factors while terms are
+still live is a genuine pole and raises PoleInRange.  The dead-series
+check runs first, so a terminating series with a harmless lower zero
+beyond its support still evaluates.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
@@ -195,11 +197,16 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
 
     Rational parameters only: any CycloElem entry is a TypeError, even at
     n = 0.  Each term's ratio to the one before is formed exactly, as an
-    integer numerator and denominator, and embeds once with k relative
-    digits, with no Fraction in between; the valuation
-    bookkeeping in PadicCapped then certifies exactly which residue the sum
-    is known to, and PrecisionExhausted is raised when cancellation ate too
-    many digits or the sum is not a p-adic integer.
+    integer numerator and denominator.  A p-event is a ratio with p in
+    either; between p-events every ratio is a p-unit, so a run of terms is
+    its first term (start) times p-integral multiples rn / rd, summed over
+    the same rd in acc, all as plain ints mod p^k.  At each p-event and at
+    the end the run closes: start times the run's sum (_run_sum) joins the
+    total, and start takes the event's exact ratio times rn / rd.  The
+    valuation bookkeeping in PadicCapped then certifies exactly which
+    residue the sum is known to, as it would term by term, and
+    PrecisionExhausted is raised when cancellation ate too many digits or
+    the sum is not a p-adic integer.
     """
     check_odd_prime(p)
     _check_precision(k)
@@ -211,7 +218,10 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
     lows = [(c.numerator, c.denominator) for c in spec.lower]
     lift = spec.z.numerator * prod(q for _, q in lows)
     drop = spec.z.denominator * prod(q for _, q in ups)
-    total = term = PadicCapped.from_rational(1, p, k)
+    m = p**k
+    start = PadicCapped.from_rational(1, p, k)
+    total = PadicCapped.from_rational(0, p, k)
+    rn = rd = acc = 1  # the run's latest term over start is rn / rd; acc / rd sums them
     for j in range(spec.n):
         tops = [r + j * q for r, q in ups]
         if 0 in tops:
@@ -222,20 +232,40 @@ def pfq_mod(spec: PfqSpec, p: int, k: int) -> int:
             raise PoleInRange(
                 f"lower parameter {b} vanishes at k={j} inside a live series"
             )
-        ratio = PadicCapped.from_ratio(
-            prod(tops, start=lift), prod(bottoms, start=drop * (j + 1)), p, k
-        )
-        term = term * ratio
-        total = total + term
-    return total.residue(k)
+        num = prod(tops, start=lift)
+        den = prod(bottoms, start=drop * (j + 1))
+        if num % p and den % p:
+            rn = rn * num % m
+            acc = (acc * den + rn) % m
+            rd = rd * den % m
+            continue
+        total = total + start * _run_sum(acc, rd, p, k)
+        start = start * PadicCapped.from_ratio(rn * num, rd * den, p, k)
+        rn = rd = acc = 1
+    return (total + start * _run_sum(acc, rd, p, k)).residue(k)
+
+
+def _run_sum(acc: int, rd: int, p: int, k: int) -> PadicCapped:
+    """A run's sum over its start, acc / rd mod p^k: a p-adic integer of
+    valuation w known to k digits, so to k - w relative digits."""
+    m = p**k
+    r = acc * pow(rd, -1, m) % m
+    if not r:
+        return PadicCapped(p, k, 0, 0)
+    w = 0
+    while r % p == 0:
+        r //= p
+        w += 1
+    return PadicCapped(p, w, r, k - w)
 
 
 @dataclass(frozen=True)
 class GSParams:
     """Free parameters (a, b, d, n) of the terminating series identity.
 
-    The seven upper and six lower entries are all determined by these; a,
-    b and d keep their kinds, as PfqSpec entries do.
+    The seven upper and six lower entries are all determined by these, and
+    are built once, at construction; a, b and d keep their kinds, as
+    PfqSpec entries do.  Equality, hash and repr read (a, b, d, n) only.
     Construction refuses parameter choices that put a lower-side zero
     inside the terminating range 0 <= k < n, since the series is then
     undefined rather than merely zero.
@@ -245,23 +275,30 @@ class GSParams:
     b: Param
     d: Param
     n: int
+    upper: tuple = field(init=False, repr=False, compare=False)
+    lower: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be a nonnegative integer")
         for name in ("a", "b", "d"):
             object.__setattr__(self, name, _param(getattr(self, name)))
-        for param in self.lower:
-            if _integer_in_window(param, self.n):
+        a, b, d, n = self.a, self.b, self.d, self.n
+        half = Fraction(1, 2)
+        lower = (
+            a * 2 - b * 2 + 1,
+            b * 2,
+            a * Fraction(2, 3),
+            a + d + half,
+            1 - d - Fraction(n, 2),
+            1 + a + Fraction(n, 2),
+        )
+        for param in lower:
+            if _integer_in_window(param, n):
                 raise PoleInRange(
                     f"lower parameter {param} vanishes within the terminating range"
                 )
-
-    @property
-    def upper(self) -> tuple:
-        a, b, d, n = self.a, self.b, self.d, self.n
-        half = Fraction(1, 2)
-        return (
+        upper = (
             a,
             b,
             a - b + half,
@@ -270,19 +307,8 @@ class GSParams:
             a * 2 + d * 2 + n,
             Fraction(-n),
         )
-
-    @property
-    def lower(self) -> tuple:
-        a, b, d, n = self.a, self.b, self.d, self.n
-        half = Fraction(1, 2)
-        return (
-            a * 2 - b * 2 + 1,
-            b * 2,
-            a * Fraction(2, 3),
-            a + d + half,
-            1 - d - Fraction(n, 2),
-            1 + a + Fraction(n, 2),
-        )
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
 
     def series(self) -> PfqSpec:
         return PfqSpec(self.upper, self.lower, 1, self.n)

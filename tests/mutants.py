@@ -45,8 +45,10 @@ _EXACT = [
 # route's c1 bookkeeping needs the off-axis specs of this test
 _PAIRS = ["tests/test_hyper.py::test_pfq_exact_matches_cyclo_elem_route"]
 _FF2 = ["tests/test_congruences.py::test_ff2_matches_cyclo_elem_triple_loop"]
-_MOD = [  # the quick one first: pytest -x stops at the first failure
+_RUNS = ["tests/test_hyper.py::test_pfq_mod_matches_both_former_routes_at_p_events"]
+_MOD = [  # the quick ones first: pytest -x stops at the first failure
     "tests/test_hyper.py::test_pfq_mod_zero_z_still_meets_a_later_pole",
+    *_RUNS,
     "tests/test_hyper.py::test_pfq_mod_matches_factor_route_on_catalog_specs",
 ]
 
@@ -92,10 +94,15 @@ MUTANTS = (
     ("pfq_mod: k! factor off by one", _HYPER,
      "start=drop * (j + 1))", "start=drop * (j + 2))", _MOD),
     ("pfq_mod: a zero ratio ends the series", _HYPER,
-     "        total = total + term\n    return",
-     "        total = total + term\n"
-     "        if not ratio.unit:\n            break\n    return",
+     "        rn = rd = acc = 1\n    return",
+     "        rn = rd = acc = 1\n        if not num:\n            break\n    return",
      _MOD),
+    ("pfq_mod: a run sum keeps k digits after cancellation", _HYPER,
+     "PadicCapped(p, w, r, k - w)", "PadicCapped(p, w, r, k)", _RUNS),
+    ("pfq_mod: the p-event test reads only the numerator", _HYPER,
+     "if num % p and den % p:", "if num % p:", _RUNS),
+    ("pfq_mod: the event ratio drops the run's rn / rd", _HYPER,
+     "from_ratio(rn * num, rd * den, p, k)", "from_ratio(num, den, p, k)", _RUNS),
     ("gamma: the memo key drops k", _GAMMA,
      "key = (p, k, levels)", "key = (p, levels)", _MEMO),
     ("gamma: the memo key drops the level count", _GAMMA,

@@ -411,6 +411,36 @@ def factor_pfq_mod(spec, p, k):
     return total.residue(k)
 
 
+def ratio_pfq_mod(spec, p, k):
+    """Reference: the former capped route, one embedded ratio per term."""
+    check_odd_prime(p)
+    _check_precision(k)
+    if any(isinstance(x, CycloElem) for x in (*spec.upper, *spec.lower, spec.z)):
+        raise TypeError("modular evaluation is defined for rational parameters only")
+
+    ups = [(c.numerator, c.denominator) for c in spec.upper]
+    lows = [(c.numerator, c.denominator) for c in spec.lower]
+    lift = spec.z.numerator * prod(q for _, q in lows)
+    drop = spec.z.denominator * prod(q for _, q in ups)
+    total = term = PadicCapped.from_rational(1, p, k)
+    for j in range(spec.n):
+        tops = [r + j * q for r, q in ups]
+        if 0 in tops:
+            break
+        bottoms = [r + j * q for r, q in lows]
+        if 0 in bottoms:
+            b = spec.lower[bottoms.index(0)]
+            raise PoleInRange(
+                f"lower parameter {b} vanishes at k={j} inside a live series"
+            )
+        ratio = PadicCapped.from_ratio(
+            prod(tops, start=lift), prod(bottoms, start=drop * (j + 1)), p, k
+        )
+        term = term * ratio
+        total = total + term
+    return total.residue(k)
+
+
 def _mod_outcome(fn, spec, p, k):
     """("residue", the int) of fn(spec, p, k), or (exception type, message)."""
     try:
@@ -460,6 +490,47 @@ def test_pfq_mod_matches_factor_route_on_catalog_specs(monkeypatch):
     assert len(calls) == 1304
     for call, outcome in calls:
         assert _mod_outcome(factor_pfq_mod, *call) == outcome, call
+
+
+def test_pfq_mod_matches_both_former_routes_at_p_events():
+    """The run kernel against the per-term and the per-factor routes, by
+    residue or by (exception type, message).
+
+    The draws lean on p-events, where a run closes: entries with p or p^2
+    in the denominator, z with v_p = +1 or -1, z = 0, and a first run that
+    cancels to 0 mod p^k (1 + z / (p - 1) = -c p^k) before the event at
+    j = 1, with n up to 3p and k from 1 to 6.
+    """
+    rng = Random(27)
+    seen = {"residue": 0, PrecisionExhausted: 0, PoleInRange: 0}
+    cancelled = 0
+    for _ in range(3000):
+        p = rng.choice((3, 5, 7, 11, 13))
+        k = rng.randint(1, 6)
+        n = rng.randint(0, 3 * p)
+
+        def entry():
+            q = rng.choice((1, p, p, p * p, rng.randint(1, 2 * p)))
+            return F(rng.randint(-3 * p * q, 3 * q), q)
+
+        if rng.random() < 0.15:
+            c = rng.randint(-3, 3)
+            z = -(p - 1) * (1 + c * p**k)
+            lower = [p - 1] + [entry() for _ in range(rng.randint(0, 1))]
+            spec = PfqSpec((), lower, z, n)
+            cancelled += n >= 1 and len(spec.lower) == 1
+        else:
+            z = rng.choice(
+                (0, p, -p, 2 * p, F(1, p), F(-1, p), F(p, 2), F(2, p), entry())
+            )
+            upper = [entry() for _ in range(rng.randint(0, 3))]
+            lower = [entry() for _ in range(rng.randint(0, 3))]
+            spec = PfqSpec(upper, lower, z, n)
+        outcome = _mod_outcome(pfq_mod, spec, p, k)
+        assert outcome == _mod_outcome(ratio_pfq_mod, spec, p, k), (spec, p, k)
+        assert outcome == _mod_outcome(factor_pfq_mod, spec, p, k), (spec, p, k)
+        seen[outcome[0]] += 1
+    assert min(seen.values()) >= 300 and cancelled >= 150, (seen, cancelled)
 
 
 def test_pfq_mod_zero_z_still_meets_a_later_pole():
@@ -601,6 +672,59 @@ def test_mixed_kind_identity_matches_promoting_every_entry():
             assert gs_lhs(g) == promoted_pfq_exact(g.series()) == gs_rhs(g)
             checked += 1
     assert checked > 100
+
+
+def former_gs_upper(g):
+    """Reference: GSParams' former upper property, rebuilt on each read."""
+    a, b, d, n = g.a, g.b, g.d, g.n
+    half = Fraction(1, 2)
+    return (
+        a,
+        b,
+        a - b + half,
+        1 + a * Fraction(2, 3),
+        1 - d * 2,
+        a * 2 + d * 2 + n,
+        Fraction(-n),
+    )
+
+
+def former_gs_lower(g):
+    """Reference: GSParams' former lower property, rebuilt on each read."""
+    a, b, d, n = g.a, g.b, g.d, g.n
+    half = Fraction(1, 2)
+    return (
+        a * 2 - b * 2 + 1,
+        b * 2,
+        a * Fraction(2, 3),
+        a + d + half,
+        1 - d - Fraction(n, 2),
+        1 + a + Fraction(n, 2),
+    )
+
+
+def test_gs_params_entries_match_former_properties():
+    """The entries built at construction equal the former per-read ones in
+    value, kind and text, and equality, hash and repr ignore them."""
+    rng = Random(2607)
+    built = 0
+    for _ in range(600):
+        entries = [_mixed_entry(rng) for _ in range(3)]
+        n = rng.randint(0, 9)
+        try:
+            g = GSParams(*entries, n)
+        except PoleInRange:
+            continue
+        for got, want in ((g.upper, former_gs_upper(g)), (g.lower, former_gs_lower(g))):
+            assert [(type(x), str(x)) for x in got] == [
+                (type(x), str(x)) for x in want
+            ], g
+            assert got == want, g
+        twin = GSParams(*entries, n)
+        assert twin == g and hash(twin) == hash(g)
+        assert repr(g) == f"GSParams(a={g.a!r}, b={g.b!r}, d={g.d!r}, n={n!r})"
+        built += 1
+    assert built > 300, built
 
 
 def test_gs_params_screen_every_closed_form_pole():
