@@ -1,24 +1,26 @@
 """Command-line interface.
 
 Five subcommands: `verify` drives the congruence sweep and emits one record
-per report; `gamma`, `pfq`, `eta`, and `identity` expose the underlying
-evaluators for one-off queries.  Exit codes: 0 when everything checked out,
-1 when at least one congruence failed to hold, 2 for usage or validation
-problems and for a `verify` run that checked nothing, 3 for a `verify` run
-with no violation but at least one checker error row, and for a residue on
-which the two series routes disagreed.  Rationals are written num/den with
-an optional sign.
+per report, formatted once as the sweep yields it and copied to stdout or
+--out when the sweep ends; `gamma`, `pfq`, `eta`, and `identity` expose the
+underlying evaluators for one-off queries.  Exit codes: 0 when everything
+checked out, 1 when at least one congruence failed to hold, 2 for usage or
+validation problems and for a `verify` run that checked nothing, 3 for a
+`verify` run with no violation but at least one checker error row, and for
+a residue on which the two series routes disagreed.  Rationals are written
+num/den with an optional sign.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
+import shutil
 import sys
+import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 from .arith import is_prime, primes_in, reduce_mod
 from .congruences import CATALOG, SweepConfig, _series_class, _unlimited_int_str, sweep
@@ -63,33 +65,15 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
 
 
-def _render(reports, fmt: str) -> str:
-    """Text for a non-empty list of reports; csv columns are record()'s keys."""
-    rows = [r.record() for r in reports]
-    if fmt == "json":
-        return "".join(json.dumps(row) + "\n" for row in rows)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
-        for row in rows:
-            row["params"] = _params_text(row["params"])
-            row["holds"] = "true" if row["holds"] else "false"
-            writer.writerow(row.values())
-        return buf.getvalue()
-    lines = []
-    for r in reports:
-        where = f"mod {r.p}^{r.k}" if r.k else "exact"
-        head = "ok  " if r.holds else "FAIL"
-        ps = _params_text(r.params)
-        middle = f" [{ps}]" if ps else ""
-        lines.append(
-            f"{head} {r.id} p={r.p}{middle} {where}: "
-            f"lhs={r.lhs} rhs={r.rhs} ({r.elapsed_ms}ms)"
-        )
-    held = sum(1 for r in reports if r.holds)
-    lines.append(f"{held}/{len(reports)} hold")
-    return "\n".join(lines) + "\n"
+def _text_line(r) -> str:
+    where = f"mod {r.p}^{r.k}" if r.k else "exact"
+    head = "ok  " if r.holds else "FAIL"
+    ps = _params_text(r.params)
+    middle = f" [{ps}]" if ps else ""
+    return (
+        f"{head} {r.id} p={r.p}{middle} {where}: "
+        f"lhs={r.lhs} rhs={r.rhs} ({r.elapsed_ms}ms)\n"
+    )
 
 
 def cmd_verify(args) -> int:
@@ -105,26 +89,44 @@ def cmd_verify(args) -> int:
         pairs=args.pairs,
         jobs=args.jobs,
     ).normalized()
-    reports = sweep(cfg)
-    if not reports:
-        primes = ",".join(map(str, cfg.primes))
-        print(
-            f"nothing checked: ids {','.join(cfg.ids)} at primes {primes}",
-            file=sys.stderr,
-        )
-        return 2
-    text = _render(reports, args.format)
-    if args.out:
+    total = held = errors = 0
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tmp:
+        rows = csv.writer(tmp, lineterminator="\n")
+        for r in sweep(cfg):
+            row = r.record()
+            if args.format == "json":
+                tmp.write(json.dumps(row) + "\n")
+            elif args.format == "text":
+                tmp.write(_text_line(r))
+            else:
+                if not total:
+                    rows.writerow(row)  # the header: record()'s keys
+                row["params"] = _params_text(row["params"])
+                row["holds"] = "true" if row["holds"] else "false"
+                rows.writerow(row.values())
+            total += 1
+            held += r.holds
+            errors += "error" in r.params
+        if not total:
+            primes = ",".join(map(str, cfg.primes))
+            print(
+                f"nothing checked: ids {','.join(cfg.ids)} at primes {primes}",
+                file=sys.stderr,
+            )
+            return 2
+        if args.format == "text":
+            tmp.write(f"{held}/{total} hold\n")
+        tmp.seek(0)
+        stdout = contextlib.nullcontext(sys.stdout)
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") if args.out else stdout as sink:
+                shutil.copyfileobj(tmp, sink)
         except OSError as e:
             print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(text)
-    if any(not r.holds and "error" not in r.params for r in reports):
+    if total - held - errors:  # error rows never hold
         return 1
-    return 3 if any("error" in r.params for r in reports) else 0
+    return 3 if errors else 0
 
 
 def cmd_gamma(args) -> int:

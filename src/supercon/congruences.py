@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -693,23 +694,26 @@ def _cells(cfg: SweepConfig) -> list[tuple[str, int]]:
     return cells
 
 
-def sweep(cfg: SweepConfig) -> list[CongruenceReport]:
-    """Run every selected (id, prime) cell; deterministic report order.
+def sweep(cfg: SweepConfig) -> Iterator[CongruenceReport]:
+    """Run every selected (id, prime) cell; yield the reports in cell order.
 
-    Cells are ordered by catalog position then prime; parameterized cells
-    expand in parameter order.  Cells run in a process pool of
-    min(jobs, cells, CPUs) workers when that is above one, and results are
-    still emitted in cell order.
+    The config is checked and the cells listed at the call, so a bad config
+    raises before any cell runs; the cells run as the generator is read, and
+    nothing collects their reports.  Cells are ordered by catalog position
+    then prime; parameterized cells expand in parameter order.  A process
+    pool of min(jobs, cells, CPUs) workers runs them when that is above one.
     """
     cfg = cfg.normalized()
     cells = _cells(cfg)
     workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        return _pooled(cells, cfg, workers)
+    return (report for cid, p in cells for report in _run_cell(cid, p, cfg))
 
-        cids, ps = zip(*cells)
-        with ProcessPoolExecutor(workers) as pool:
-            chunks = list(pool.map(_run_cell, cids, ps, [cfg] * len(cells)))
-    else:
-        chunks = [_run_cell(cid, p, cfg) for cid, p in cells]
-    return [report for chunk in chunks for report in chunk]
+
+def _pooled(cells: list, cfg: SweepConfig, workers: int) -> Iterator[CongruenceReport]:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        for chunk in pool.map(_run_cell, *zip(*cells), [cfg] * len(cells)):
+            yield from chunk

@@ -30,6 +30,8 @@ returns the same int.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .arith import RationalLike, _check_precision, check_odd_prime, reduce_mod
 
 
@@ -53,12 +55,15 @@ def _poly_mul(a: list, b: list, k: int, pk: int) -> list:
     return [c % pk for c in out]
 
 
+# The last 2 sets read: enough for the right sides that build one batch per
+# alpha at one prime, and no more.
+@lru_cache(maxsize=2)
 def _digit_rows(p: int, k: int, levels: int) -> tuple:
     """Row l is the table Q_l[d], d < p, of each level l < levels.
 
     Level 0 skips the multiple u = 0 and grows by the linear factor p q + u;
     B_(l+1) is Q_l[p].  The top level only sees q = 0, so it holds constants.
-    Rows and entries are tuples, so a memoised set cannot be changed.
+    Rows and entries are tuples, so a cached set cannot be changed.
     """
     pk = p**k
     rows, block = [], None
@@ -76,24 +81,6 @@ def _digit_rows(p: int, k: int, levels: int) -> tuple:
         rows.append(tuple(row))
         block = q
     return tuple(rows)
-
-
-#: How many (p, k, levels) table sets _tables keeps: enough for the right
-#: sides that build one batch per alpha at one prime, and no more.
-_KEPT = 2
-_MEMO: dict = {}
-
-
-def _tables(p: int, k: int, levels: int) -> tuple:
-    """_digit_rows(p, k, levels), from the memo of the _KEPT keys read last."""
-    key = (p, k, levels)
-    rows = _MEMO.pop(key, None)
-    if rows is None:
-        rows = _digit_rows(p, k, levels)
-    _MEMO[key] = rows
-    if len(_MEMO) > _KEPT:
-        del _MEMO[next(iter(_MEMO))]  # the least recently read
-    return rows
 
 
 def _eval(poly: list, s: int, pk: int) -> int:
@@ -118,10 +105,10 @@ class GammaBatch:
     and value() reads each one back as a plain int.  An int argument is its
     own representative mod p^k; a Fraction is reduced.  The tables depend
     only on (p, k) and the number of digits of the largest representative,
-    so run() takes them from _tables, which keeps the last _KEPT sets read:
+    so run() reads them from _digit_rows, which caches the last 2 sets read:
     right sides that build one batch per alpha at one prime share a set
-    instead of rebuilding it.  That memo is still deliberately not a
-    cross-prime cache, since the next prime's tables evict it; build one
+    instead of rebuilding it.  That cache is still deliberately not a
+    cross-prime one, since the next prime's tables evict it; build one
     batch per (p, k) job and let it go.
     """
 
@@ -162,7 +149,7 @@ class GammaBatch:
         levels, top = 0, self.sweep_length
         while top:  # the number of base-p digits of the largest rep
             levels, top = levels + 1, top // p
-        rows = _tables(p, self.k, levels)
+        rows = _digit_rows(p, self.k, levels)
         values: dict[int, int] = {}
         for m in self._reps:
             acc, q = 1, m

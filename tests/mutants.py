@@ -30,11 +30,8 @@ _ARITH = "src/supercon/arith.py"
 _GAMMA = "src/supercon/gamma.py"
 _HYPER = "src/supercon/hyper.py"
 _CONG = "src/supercon/congruences.py"
+_CLI = "src/supercon/cli.py"
 _DIGITS = ["tests/test_gamma.py::test_digit_tables_match_block_walk"]
-_MEMO = [
-    "tests/test_gamma.py::test_precision_3_batch_between_precision_2_batches",
-    "tests/test_gamma.py::test_memoised_tables_match_fresh_digit_rows",
-]
 _GS = ["tests/test_hyper.py::test_gs_rhs_matches_cyclo_elem_route"]
 _LAWS = ["tests/test_congruences.py::test_gamma_laws_catch_a_planted_value"]
 _EXACT = [
@@ -103,10 +100,6 @@ MUTANTS = (
      "if num % p and den % p:", "if num % p:", _RUNS),
     ("pfq_mod: the event ratio drops the run's rn / rd", _HYPER,
      "from_ratio(rn * num, rd * den, p, k)", "from_ratio(num, den, p, k)", _RUNS),
-    ("gamma: the memo key drops k", _GAMMA,
-     "key = (p, k, levels)", "key = (p, levels)", _MEMO),
-    ("gamma: the memo key drops the level count", _GAMMA,
-     "key = (p, k, levels)", "key = (p, k)", _MEMO),
     ("gamma: an int argument read without reduction", _GAMMA,
      "return x % self._pk", "return x",
      ["tests/test_gamma.py::test_int_argument_is_its_own_representative"]),
@@ -168,6 +161,13 @@ MUTANTS = (
      _GS),
     ("gs_rhs: a Q(w) factor's column drops c1", _HYPER,
      "repeat(r[1]))", "repeat(0))", _GS),
+    ("verify: reports written straight to stdout, not the temporary file",
+     _CLI, 'tempfile.TemporaryFile("w+", encoding="utf-8", newline="")',
+     "contextlib.nullcontext(sys.stdout)",
+     ["tests/test_cli.py::test_verify_mismatch_after_a_written_report_leaves_no_output"]),
+    ("verify: the text summary counts every report as held", _CLI,
+     'f"{held}/{total} hold', 'f"{total}/{total} hold',
+     ["tests/test_cli.py::test_verify_checker_error_exits_three"]),
     ("pole window: -n itself counted", _HYPER,
      "-n < c0 <= 0", "-n <= c0 <= 0",
      ["tests/test_hyper.py::test_integer_in_window_matches_scan"]),

@@ -39,7 +39,7 @@ def record(n: int, ok: bool, note: str = "") -> None:
 def timed_sweep(cfg: SweepConfig):
     before = congruences.oracle_comparisons
     t0 = time.perf_counter()
-    reports = sweep(cfg)
+    reports = list(sweep(cfg))
     elapsed = time.perf_counter() - t0
     delta = congruences.oracle_comparisons - before
     return reports, elapsed, delta

@@ -159,6 +159,31 @@ def test_verify_oracle_mismatch_exits_three(monkeypatch, capsys):
     assert err.startswith("internal error: modular evaluator gave")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_mismatch_after_a_written_report_leaves_no_output(
+    fmt, tmp_path, monkeypatch, capsys
+):
+    """The p = 7 cell aborts after p = 5's report was formatted: stdout
+    stays empty, --out is neither created nor truncated."""
+    real = congruences.pfq_mod
+
+    def wrong_at_7(spec, p, k):
+        return (real(spec, p, k) + (p == 7)) % p**k
+
+    monkeypatch.setattr(congruences, "pfq_mod", wrong_at_7)
+    argv = ["verify", "--id", "zudilin-1.2", "--primes", "5,7", "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: modular evaluator gave")
+    missing, kept = tmp_path / "missing.out", tmp_path / "kept.out"
+    kept.write_bytes(b"earlier run\n")
+    for target in (missing, kept):
+        code, out, _ = run(argv + ["--out", str(target)], capsys)
+        assert (code, out) == (3, "")
+    assert not missing.exists()
+    assert kept.read_bytes() == b"earlier run\n"
+
+
 @pytest.fixture
 def default_int_str_cap():
     """CPython's default 4300-digit int-to-str cap during the test."""
@@ -208,7 +233,7 @@ def test_pool_workers_print_past_4300_digits(jobs, default_int_str_cap):
     # called without cli.main: the reports lift the cap, serially and in
     # pool workers alike
     ids = ("ff-3.1", "zudilin-1.2")
-    reports = sweep(SweepConfig(ids=ids, primes=(3301,), alphas=(1,), jobs=jobs))
+    reports = list(sweep(SweepConfig(ids=ids, primes=(3301,), alphas=(1,), jobs=jobs)))
     assert [(r.id, r.holds, r.params) for r in reports] == [
         ("zudilin-1.2", True, {}), ("ff-3.1", True, {"alpha": "1"})
     ]
@@ -345,13 +370,16 @@ def test_verify_unwritable_out_is_a_usage_error(where, error, tmp_path, capsys):
 
 
 def test_verify_deterministic_bytes(capsys):
-    argv = ["verify", "--id", "ff-3.2", "--primes", "5,7", "--pairs", "5",
-            "--seed", "11", "--format", "json"]
-    _, out1, _ = run(argv, capsys)
-    _, out2, _ = run(argv, capsys)
-    assert mask_times(out1) == mask_times(out2)
-    _, out3, _ = run(argv + ["--jobs", "2"], capsys)
-    assert mask_times(out1) == mask_times(out3)
+    """Same bytes, times masked, on a rerun and under --jobs 2, in every
+    format: each report is written as the sweep yields it."""
+    for fmt in ("json", "csv", "text"):
+        argv = ["verify", "--id", "ff-3.2,kilbourn-1.1", "--primes", "5,7",
+                "--pairs", "5", "--seed", "11", "--format", fmt]
+        _, out1, _ = run(argv, capsys)
+        _, out2, _ = run(argv, capsys)
+        assert mask_times(out1) == mask_times(out2)
+        _, out3, _ = run(argv + ["--jobs", "2"], capsys)
+        assert mask_times(out1) == mask_times(out3), fmt
 
 
 def test_verify_repeated_alpha_reports_once(capsys):

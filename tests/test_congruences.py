@@ -396,7 +396,7 @@ def test_ff2_matches_cyclo_elem_triple_loop():
     """The int-pair loop against the CycloElem loop it replaced, on the
     sweep's own (u, v) draws at every prime 5..97 and on the edge cases."""
     rng = Random(45)
-    swept = sweep(SweepConfig(ids=("ff-3.2",), primes=primes_in(5, 97)))
+    swept = list(sweep(SweepConfig(ids=("ff-3.2",), primes=primes_in(5, 97))))
     assert len(swept) == 23 * SweepConfig().pairs
     for p in primes_in(5, 97):
         pairs = [(F(r.params["u"]), F(r.params["v"])) for r in swept if r.p == p]
@@ -584,7 +584,7 @@ def test_ff2_reports_a_planted_product_fault(monkeypatch):
     assert verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
     monkeypatch.setattr(congruences, "_zw_mul", wrong_mul)
     assert not verify_ff2(7, F(1, 2), F(-1, 3), 3).holds
-    reports = sweep(SweepConfig(ids=("ff-3.2",), primes=(7,), pairs=3))
+    reports = list(sweep(SweepConfig(ids=("ff-3.2",), primes=(7,), pairs=3)))
     # a draw with v = 0 stays on the rational axis, where the fault is silent
     assert [r.holds for r in reports] == [r.params["v"] == "0" for r in reports]
     assert not all(r.holds for r in reports)
@@ -614,32 +614,48 @@ def test_oracle_mismatch_escapes_sweep(monkeypatch):
 
     monkeypatch.setattr(congruences, "pfq_mod", wrong_pfq_mod)
     with pytest.raises(OracleMismatch):
-        sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,)))
+        list(sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,))))
+
+
+class LazyPool:
+    """A process pool stand-in that runs each cell in this process, as its
+    map's result is read."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestSweep:
     def test_deterministic_and_ordered(self):
         cfg = SweepConfig(ids=("main-1.4", "kilbourn-1.1"), primes=(7, 5), seed=3)
-        a = sweep(cfg)
-        b = sweep(cfg)
+        a = list(sweep(cfg))
+        b = list(sweep(cfg))
         assert strip(a) == strip(b)
         # catalog order first, then prime order, regardless of input order
         assert [(r.id, r.p) for r in a[:2]] == [("kilbourn-1.1", 5), ("kilbourn-1.1", 7)]
         assert a[2].id == "main-1.4" and a[2].p == 5
 
     def test_alpha_all_counts(self):
-        reports = sweep(SweepConfig(ids=("main-1.4",), primes=(5, 7, 11, 13)))
+        reports = list(sweep(SweepConfig(ids=("main-1.4",), primes=(5, 7, 11, 13))))
         assert len(reports) == 11  # floor(p/4)+1 summed: 2+2+3+4
         assert all(r.holds for r in reports)
 
     def test_alpha_list_skips_inadmissible(self):
-        reports = sweep(
-            SweepConfig(ids=("main-1.4",), primes=(5, 13), alphas=(F(3), F(1, 7)))
-        )
+        cfg = SweepConfig(ids=("main-1.4",), primes=(5, 13), alphas=(F(3), F(1, 7)))
+        reports = list(sweep(cfg))
         assert [(r.p, r.params["alpha"]) for r in reports] == [(13, "3"), (13, "1/7")]
 
     def test_domain_filtering(self):
-        reports = sweep(SweepConfig(ids=("long-ramakrishna-p6", "ff-3.3"), primes=(7, 11, 13, 29)))
+        reports = list(sweep(SweepConfig(ids=("long-ramakrishna-p6", "ff-3.3"), primes=(7, 11, 13, 29))))
         pairs = [(r.id, r.p) for r in reports]
         assert ("long-ramakrishna-p6", 29) not in pairs
         assert all(p % 4 == 1 for i, p in pairs if i == "ff-3.3")
@@ -653,46 +669,64 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(SweepConfig(ids=("zudilin-1.2",), primes=(2, 5)))
 
+    def test_bad_config_raises_at_the_call(self, monkeypatch):
+        cells = []
+        monkeypatch.setattr(congruences, "_run_cell", lambda *cell: cells.append(cell))
+        for cfg in (
+            SweepConfig(ids=("no-such-id",), primes=(5,)),
+            SweepConfig(ids=("zudilin-1.2",), primes=(5, 9)),
+            SweepConfig(ids=("zudilin-1.2",), primes=(5,), jobs=0),
+            SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=0),
+        ):
+            with pytest.raises(ValueError):
+                sweep(cfg)  # not iterated: the call itself raises
+        assert cells == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_cell_is_yielded_before_the_second_runs(self, jobs, monkeypatch):
+        """Serially and through a pool whose map hands chunks back lazily."""
+        real, ran = congruences.verify_zudilin, []
+        monkeypatch.setattr(
+            congruences, "verify_zudilin", lambda p: ran.append(p) or real(p)
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(congruences.os, "cpu_count", lambda: 2)
+        reports = sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5, 7), jobs=jobs))
+        assert ran == []
+        assert (next(reports).p, ran) == (5, [5])
+        assert ([r.p for r in reports], ran) == ([7], [5, 7])
+
     def test_parallel_matches_serial(self):
         base = dict(ids=("kilbourn-1.1", "gamma-laws", "ff-3.2"), primes=(5, 7), pairs=4, samples=20)
-        serial = sweep(SweepConfig(**base, jobs=1))
-        parallel = sweep(SweepConfig(**base, jobs=3))
+        serial = list(sweep(SweepConfig(**base, jobs=1)))
+        parallel = list(sweep(SweepConfig(**base, jobs=3)))
         assert strip(serial) == strip(parallel)
 
     def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
         pools = []
 
-        class FakePool:
+        class FakePool(LazyPool):
             def __init__(self, max_workers):
                 pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(congruences.os, "cpu_count", lambda: 4)
         three = dict(ids=("zudilin-1.2",), primes=(5, 7, 11))
-        serial = sweep(SweepConfig(**three))
+        serial = list(sweep(SweepConfig(**three)))
         assert pools == []
-        assert strip(sweep(SweepConfig(**three, jobs=1000))) == strip(serial)
-        sweep(SweepConfig(ids=("zudilin-1.2",), primes=primes_in(5, 31), jobs=1000))
-        sweep(SweepConfig(**three, jobs=2))
-        sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,), jobs=8))
+        assert strip(list(sweep(SweepConfig(**three, jobs=1000)))) == strip(serial)
+        list(sweep(SweepConfig(ids=("zudilin-1.2",), primes=primes_in(5, 31), jobs=1000)))
+        list(sweep(SweepConfig(**three, jobs=2)))
+        list(sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,), jobs=8)))
         assert pools == [3, 4, 2]  # one cell ran serially
         monkeypatch.setattr(congruences.os, "cpu_count", lambda: None)
-        sweep(SweepConfig(**three, jobs=8))
+        list(sweep(SweepConfig(**three, jobs=8)))
         assert pools == [3, 4, 2]
 
     def test_ff2_cells_are_seeded(self):
-        one = sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=9))
-        two = sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=9))
-        other = sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=10))
+        one = list(sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=9)))
+        two = list(sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=9)))
+        other = list(sweep(SweepConfig(ids=("ff-3.2",), primes=(5,), pairs=6, seed=10)))
         assert strip(one) == strip(two)
         assert strip(one) != strip(other)
         assert len(one) == 6
@@ -702,7 +736,7 @@ class TestSweep:
             raise PrecisionExhausted("forced for the test")
 
         monkeypatch.setattr(congruences, "verify_zudilin", always_raises)
-        reports = sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,)))
+        reports = list(sweep(SweepConfig(ids=("zudilin-1.2",), primes=(5,))))
         assert len(reports) == 1
         r = reports[0]
         assert not r.holds
@@ -710,6 +744,6 @@ class TestSweep:
         assert r.lhs == "error"
 
     def test_gs_cell_ignores_primes(self):
-        reports = sweep(SweepConfig(ids=("gs-2.6",), primes=(5, 7), samples=10))
+        reports = list(sweep(SweepConfig(ids=("gs-2.6",), primes=(5, 7), samples=10)))
         assert len(reports) == 1
         assert reports[0].p == 0

@@ -12,7 +12,7 @@ import pytest
 from supercon import cli, congruences
 from supercon.arith import CycloElem, least_residue, primes_in, reduce_mod, vp
 from supercon.errors import NonUnitDenominator
-from supercon.gamma import _MEMO, GammaBatch, _digit_rows, _tables, gamma_p
+from supercon.gamma import GammaBatch, _digit_rows, gamma_p
 
 F = Fraction
 
@@ -309,19 +309,24 @@ def _frozen(rows) -> bool:
 
 def test_memoised_tables_match_fresh_digit_rows():
     """Every prime p <= 101, k <= 6 and level count: each key is read, then
-    the key one level down, then the key again, and every read matches a
-    fresh build.  Keys of neighbouring precisions share level counts, so a
-    memo key without k or without the level count hands back wrong tables."""
+    the key one level down, then the key again, and every read matches an
+    uncached build.  Keys of neighbouring precisions share level counts, so
+    a cache keyed without k or without the level count would hand back
+    wrong tables; the third read is a hit on the two sets kept."""
+    fresh_rows = _digit_rows.__wrapped__
     for p in primes_in(3, 101):
         for k in range(1, 7):
             for levels in range(k + 1):
-                fresh = _digit_rows(p, k, levels)
+                fresh = fresh_rows(p, k, levels)
                 assert _frozen(fresh) and len(fresh) == levels
-                assert _tables(p, k, levels) == fresh, (p, k, levels)
+                assert _digit_rows(p, k, levels) == fresh, (p, k, levels)
                 if levels:  # the key one level down, then this one again
-                    assert _tables(p, k, levels - 1) == _digit_rows(p, k, levels - 1)
-                    assert _tables(p, k, levels) == fresh, (p, k, levels)
-    assert all(map(_frozen, _MEMO.values()))
+                    assert _digit_rows(p, k, levels - 1) == fresh_rows(p, k, levels - 1)
+                    hits = _digit_rows.cache_info().hits
+                    assert _digit_rows(p, k, levels) == fresh, (p, k, levels)
+                    assert _digit_rows.cache_info().hits == hits + 1
+    info = _digit_rows.cache_info()
+    assert (info.maxsize, info.currsize) == (2, 2)
 
 
 def test_precision_3_batch_between_precision_2_batches():
@@ -338,8 +343,10 @@ def test_batches_sharing_tables_leave_each_other_unchanged():
     p, k = 31, 3
     first = GammaBatch(p, k).add_all(range(1000, 1060)).run()
     before = dict(first._values)
+    hits = _digit_rows.cache_info().hits
     second = GammaBatch(p, k).add_all(range(29000, 29060)).run()
-    assert _MEMO[p, k, 3] == _digit_rows(p, k, 3)
+    assert _digit_rows.cache_info().hits == hits + 1  # the first batch's set
+    assert _digit_rows(p, k, 3) == _digit_rows.__wrapped__(p, k, 3)
     assert first._values == before == block_walk_gamma(range(1000, 1060), p, k)
     assert second._values == block_walk_gamma(range(29000, 29060), p, k)
 

@@ -225,7 +225,7 @@ def test_pfq_exact_matches_fraction_route_on_catalog_specs(monkeypatch):
     ids = ("kilbourn-1.1", "zudilin-1.2", "mccarthy-osburn-1.3",
            "long-ramakrishna-p6", "main-1.4", "cor-1.5", "cor-1.6")
     primes = tuple(p for p in range(3, 98) if is_prime(p))
-    reports = sweep(SweepConfig(ids=ids, primes=primes).normalized())
+    reports = list(sweep(SweepConfig(ids=ids, primes=primes).normalized()))
     assert all(r.holds for r in reports)
     assert len(specs) == len(reports) == 399
     for spec in specs:
@@ -485,7 +485,7 @@ def test_pfq_mod_matches_factor_route_on_catalog_specs(monkeypatch):
     ids = ("kilbourn-1.1", "zudilin-1.2", "mccarthy-osburn-1.3",
            "long-ramakrishna-p6", "main-1.4", "cor-1.5", "cor-1.6")
     primes = tuple(p for p in range(5, 200) if is_prime(p))
-    reports = sweep(SweepConfig(ids=ids, primes=primes, seed=0).normalized())
+    reports = list(sweep(SweepConfig(ids=ids, primes=primes, seed=0).normalized()))
     assert all(r.holds for r in reports)
     assert len(calls) == 1304
     for call, outcome in calls:
